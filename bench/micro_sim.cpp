@@ -1,8 +1,9 @@
 /// \file micro_sim.cpp
 /// Microbenchmarks of the simulation substrate: event-queue throughput,
 /// whole-run latency per policy, the per-decision cost of the opt-in
-/// rationale API, and SCC's decision cost as the number of tracked shadows
-/// grows. All controllers come from the policy registry.
+/// rationale API, SCC's decision cost as the number of tracked shadows
+/// grows, and the cell lookup behind every mobility step. All controllers
+/// come from the policy registry.
 
 #include <benchmark/benchmark.h>
 
@@ -205,6 +206,32 @@ void BM_SccDecideVsTrackedCalls(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SccDecideVsTrackedCalls)->Arg(8)->Arg(64)->Arg(256)->Arg(2048);
+
+/// HexNetwork::cellAt on points inside the disk at 19 / 217 / 1,027 cells
+/// (rings 2 / 8 / 18, the metro cell radius). The axial table makes the
+/// per-call cost flat in the network size.
+void BM_CellAt(benchmark::State& state) {
+  const cellular::HexNetwork net{static_cast<int>(state.range(0)), 1.5};
+  sim::Rng rng = sim::makeRng(3);
+  // Offsets of up to 0.6 radii per axis stay inside the inscribed circle,
+  // so every point belongs to the cell it was drawn around.
+  const double jitter = 0.6 * net.cellRadiusKm();
+  std::vector<cellular::Vec2> points(4096);
+  for (cellular::Vec2& p : points) {
+    const auto cell = static_cast<cellular::CellId>(sim::sampleUniform(
+        rng, 0.0, static_cast<double>(net.cellCount()) - 0.5));
+    p = net.cell(cell).center +
+        cellular::Vec2{sim::sampleUniform(rng, -jitter, jitter),
+                       sim::sampleUniform(rng, -jitter, jitter)};
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.cellAt(points[i]));
+    i = (i + 1) % points.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CellAt)->Arg(2)->Arg(8)->Arg(18);
 
 /// Whole sharded runs on a multi-cell scenario (the wall-clock scaling
 /// study lives in multi_cell_scaling; this pins the per-event overhead of

@@ -1,25 +1,15 @@
 #include "cellular/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace facs::cellular {
-
-namespace {
-struct HexHash {
-  std::size_t operator()(const HexCoord& h) const noexcept {
-    return std::hash<long long>{}(
-        (static_cast<long long>(h.q) << 32) ^
-        static_cast<long long>(static_cast<unsigned>(h.r)));
-  }
-};
-}  // namespace
 
 HexNetwork::HexNetwork(int rings, double cell_radius_km,
                        BandwidthUnits capacity_bu,
                        const std::vector<CellCapacityOverride>& capacity_overrides)
-    : cell_radius_km_{cell_radius_km} {
+    : rings_{rings}, cell_radius_km_{cell_radius_km} {
   if (rings < 0) throw std::invalid_argument("rings must be >= 0");
   if (!(cell_radius_km > 0.0)) {
     throw std::invalid_argument("cell radius must be positive");
@@ -46,31 +36,70 @@ HexNetwork::HexNetwork(int rings, double cell_radius_km,
     overridden[cell] = true;
   }
 
-  std::unordered_map<HexCoord, CellId, HexHash> index;
+  // Farthest reach of the disk: sqrt(3)/2 radii past the outermost
+  // centres in x, one radius in y; one more radius of margin keeps every
+  // point that rounds into the disk inside the box.
+  max_abs_x_km_ = cell_radius_km_ * (std::sqrt(3.0) * (rings + 0.5) + 1.0);
+  max_abs_y_km_ = cell_radius_km_ * (1.5 * rings + 2.0);
+
+  const auto side = static_cast<std::size_t>(2 * rings + 1);
+  axial_.assign(side * side, kInvalidCell);
   cells_.reserve(coords.size());
   stations_.reserve(coords.size());
   for (std::size_t i = 0; i < coords.size(); ++i) {
     const auto id = static_cast<CellId>(i);
     cells_.push_back({id, coords[i], hexCenter(coords[i], cell_radius_km_)});
     stations_.emplace_back(id, capacities[i]);
-    index.emplace(coords[i], id);
+    axial_[static_cast<std::size_t>(coords[i].r + rings) * side +
+           static_cast<std::size_t>(coords[i].q + rings)] = id;
   }
 
   neighbors_.resize(cells_.size());
   for (const Cell& c : cells_) {
     for (const HexCoord& n : hexNeighbors(c.coord)) {
-      const auto it = index.find(n);
-      if (it != index.end()) neighbors_[c.id].push_back(it->second);
+      const CellId id = cellAtHex(n);
+      if (id != kInvalidCell) neighbors_[c.id].push_back(id);
     }
   }
 }
 
+CellId HexNetwork::cellAtHex(HexCoord h) const noexcept {
+  // Unsigned wrap-around sends every coordinate left of or below the
+  // rhombus past `side` as well, without a signed overflow on wild input.
+  const auto side = static_cast<unsigned>(2 * rings_ + 1);
+  const unsigned col =
+      static_cast<unsigned>(h.q) + static_cast<unsigned>(rings_);
+  const unsigned row =
+      static_cast<unsigned>(h.r) + static_cast<unsigned>(rings_);
+  if (col >= side || row >= side) return kInvalidCell;
+  return axial_[static_cast<std::size_t>(row) * side + col];
+}
+
 std::optional<CellId> HexNetwork::cellAt(Vec2 position) const {
-  const HexCoord h = pointToHex(position, cell_radius_km_);
-  for (const Cell& c : cells_) {
-    if (c.coord == h) return c.id;
+  // The negated form also rejects NaN; anything left is small enough for
+  // pointToHex's double -> int rounding.
+  if (!(std::abs(position.x) <= max_abs_x_km_) ||
+      !(std::abs(position.y) <= max_abs_y_km_)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  const CellId id = cellAtHex(pointToHex(position, cell_radius_km_));
+  if (id == kInvalidCell) return std::nullopt;
+  return id;
+}
+
+std::vector<std::vector<CellId>> HexNetwork::cellsWithinHops(int hops) const {
+  // Hops beyond the disk's diameter reach nothing new.
+  const std::vector<HexCoord> offsets = hexDisk(std::min(hops, 2 * rings_));
+  std::vector<std::vector<CellId>> out(cells_.size());
+  for (const Cell& c : cells_) {
+    std::vector<CellId>& ids = out[c.id];
+    for (const HexCoord& o : offsets) {
+      const CellId id = cellAtHex({c.coord.q + o.q, c.coord.r + o.r});
+      if (id != kInvalidCell) ids.push_back(id);
+    }
+    std::sort(ids.begin(), ids.end());
+  }
+  return out;
 }
 
 BandwidthUnits HexNetwork::totalOccupiedBu() const noexcept {

@@ -53,10 +53,25 @@ class HexNetwork {
     return stations_.at(id);
   }
 
-  /// Cell containing a planar point, if any cell of the disk does.
+  /// Cell containing a planar point, if any cell of the disk does. O(1) at
+  /// any network size: a point that is not finite, or lies outside the
+  /// disk's bounding box, is rejected in the double domain; any other point
+  /// is rounded to its hex (pointToHex) and read from a dense axial table
+  /// of (2*rings+1)^2 ids covering the disk's bounding rhombus
+  /// (kInvalidCell off the disk) — 1,369 ids, about 5 KB, at 1,027 cells.
   [[nodiscard]] std::optional<CellId> cellAt(Vec2 position) const;
 
-  /// Ids of in-network neighbours of a cell (up to 6).
+  /// Cell at an axial coordinate, or kInvalidCell off the disk. O(1).
+  [[nodiscard]] CellId cellAtHex(HexCoord h) const noexcept;
+
+  /// For every cell, the ascending ids of the cells within \p hops grid
+  /// hops of it (itself included), found by walking hexDisk offsets
+  /// through the axial table: O(cells x min(hops, 2*rings)^2).
+  [[nodiscard]] std::vector<std::vector<CellId>> cellsWithinHops(
+      int hops) const;
+
+  /// Ids of in-network neighbours of a cell (up to 6), in hexNeighbors
+  /// order (E, NE, NW, W, SW, SE).
   [[nodiscard]] const std::vector<CellId>& neighbors(CellId id) const {
     return neighbors_.at(id);
   }
@@ -71,7 +86,14 @@ class HexNetwork {
   [[nodiscard]] BandwidthUnits totalCapacityBu() const noexcept;
 
  private:
+  int rings_;
   double cell_radius_km_;
+  /// Dense axial lookup: entry (r + rings) * (2*rings+1) + (q + rings).
+  std::vector<CellId> axial_;
+  /// Half-extents of the bounding box cellAt accepts, with a one-radius
+  /// margin so no point that rounds into the disk is cut off.
+  double max_abs_x_km_;
+  double max_abs_y_km_;
   std::vector<Cell> cells_;
   std::vector<BaseStation> stations_;
   std::vector<std::vector<CellId>> neighbors_;

@@ -70,30 +70,12 @@ ShadowClusterController::ShadowClusterController(
   demand_.assign(network_.cellCount() *
                      static_cast<std::size_t>(config_.intervals),
                  0.0);
-  clusters_.resize(network_.cellCount());
-  for (const cellular::Cell& center : network_.cells()) {
-    for (const cellular::Cell& cell : network_.cells()) {
-      if (cellular::hexDistance(center.coord, cell.coord) <=
-          config_.cluster_radius) {
-        clusters_[static_cast<std::size_t>(center.id)].push_back(cell.id);
-      }
-    }
-  }
+  clusters_ = network_.cellsWithinHops(config_.cluster_radius);
   all_cells_.reserve(network_.cellCount());
   for (const cellular::Cell& cell : network_.cells()) {
     all_cells_.push_back(cell.id);
   }
-  if (config_.reach > 0) {
-    footprints_.resize(network_.cellCount());
-    for (const cellular::Cell& center : network_.cells()) {
-      for (const cellular::Cell& cell : network_.cells()) {
-        if (cellular::hexDistance(center.coord, cell.coord) <=
-            config_.reach) {
-          footprints_[static_cast<std::size_t>(center.id)].push_back(cell.id);
-        }
-      }
-    }
-  }
+  if (config_.reach > 0) footprints_ = network_.cellsWithinHops(config_.reach);
 }
 
 const std::vector<cellular::CellId>& ShadowClusterController::footprint(

@@ -180,6 +180,13 @@ class ShadowClusterController final : public cellular::AdmissionController {
 
   [[nodiscard]] const SccConfig& config() const noexcept { return config_; }
 
+  /// Cells of the shadow cluster centred on \p center: the ascending ids
+  /// within cluster_radius hops.
+  [[nodiscard]] const std::vector<cellular::CellId>& cluster(
+      cellular::CellId center) const {
+    return clusters_.at(static_cast<std::size_t>(center));
+  }
+
   /// Cells one shadow anchored at \p anchor may touch: all of them at
   /// reach = 0, the precomputed <= reach-hop neighbourhood otherwise.
   [[nodiscard]] const std::vector<cellular::CellId>& footprint(
@@ -308,12 +315,12 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// what each BS would hold after accumulating every mobile's probability
   /// vector. Row-major: cell * intervals + k.
   std::vector<double> demand_;
-  /// Precomputed cluster membership (cells within cluster_radius), so the
-  /// decide() hot path never allocates.
+  /// Precomputed cluster membership (ascending ids within cluster_radius),
+  /// so the decide() hot path never allocates.
   std::vector<std::vector<cellular::CellId>> clusters_;
-  /// Precomputed accounting footprints (cells within reach hops), indexed
-  /// by anchor cell; empty when reach == 0 (unbounded accounting) — then
-  /// footprint() answers with all_cells_.
+  /// Precomputed accounting footprints (ascending ids within reach hops),
+  /// indexed by anchor cell; empty when reach == 0 (unbounded accounting) —
+  /// then footprint() answers with all_cells_.
   std::vector<std::vector<cellular::CellId>> footprints_;
   std::vector<cellular::CellId> all_cells_;
   /// Shadow updates since the last exact rebuild of demand_ (ungrouped).

@@ -1727,6 +1727,14 @@ void validateConfig(const SimulationConfig& cfg) {
     throw std::invalid_argument(
         "GPS fix period must be in (0, tracking_window]");
   }
+  // The tracking walk counts its fixes in an int; the negated form also
+  // rejects the NaN of an infinite window over an infinite period.
+  if (s.tracking_window_s > 0.0 &&
+      !(s.tracking_window_s / s.gps_fix_period_s + 1.0 <=
+        static_cast<double>(std::numeric_limits<int>::max()))) {
+    throw std::invalid_argument(
+        "tracking window / GPS fix period must fit an int fix count");
+  }
 }
 
 Metrics runSimulation(const SimulationConfig& config,

@@ -419,6 +419,32 @@ TEST(ShadowCluster, ReachSpanningTheDiskMatchesUnbounded) {
   }
 }
 
+TEST(ShadowCluster, ClustersAndFootprintsMatchAllPairsConstruction) {
+  // The controller builds its neighbourhoods by walking hex offsets through
+  // the network's axial table; the all-pairs hexDistance walk it replaced
+  // must give the same ascending id lists.
+  const HexNetwork net{8};
+  for (const int radius : {0, 1, 2, 3}) {
+    SccConfig cfg;
+    cfg.cluster_radius = radius;
+    cfg.reach = radius + 2;
+    const ShadowClusterController scc{net, cfg};
+    for (const cellular::Cell& center : net.cells()) {
+      std::vector<cellular::CellId> cluster;
+      std::vector<cellular::CellId> footprint;
+      for (const cellular::Cell& cell : net.cells()) {
+        const int d = cellular::hexDistance(center.coord, cell.coord);
+        if (d <= cfg.cluster_radius) cluster.push_back(cell.id);
+        if (d <= cfg.reach) footprint.push_back(cell.id);
+      }
+      ASSERT_EQ(scc.cluster(center.id), cluster)
+          << "radius " << radius << " centre " << center.id;
+      ASSERT_EQ(scc.footprint(center.id), footprint)
+          << "reach " << cfg.reach << " anchor " << center.id;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // GroupLocal protocol: per-group stores, deferred cross-group deltas, the
 // barrier drain, repartition re-keying and the reach-sizing audit.

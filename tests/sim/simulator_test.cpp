@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cac/baselines.hpp"
 #include "core/facs.hpp"
 #include "scc/shadow_cluster.hpp"
@@ -72,6 +74,31 @@ TEST(Simulator, ValidatesConfig) {
                             return nullptr;
                           }),
       std::invalid_argument);
+}
+
+TEST(Simulator, RejectsFixCountsBeyondInt) {
+  // window / period + 1 fixes are counted in an int by the tracking walk;
+  // a period this small used to overflow that conversion mid-run.
+  SimulationConfig bad = lightConfig(5);
+  bad.scenario.tracking_window_s = 10.0;
+  bad.scenario.gps_fix_period_s = 1e-300;
+  EXPECT_THROW(validateConfig(bad), std::invalid_argument);
+  EXPECT_THROW((void)runSimulation(bad, completeSharing()),
+               std::invalid_argument);
+  bad.scenario.tracking_window_s = std::numeric_limits<double>::infinity();
+  bad.scenario.gps_fix_period_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(validateConfig(bad), std::invalid_argument);
+  bad.scenario.gps_fix_period_s = 1.0;
+  EXPECT_THROW(validateConfig(bad), std::invalid_argument);
+
+  // The largest count that still fits is accepted.
+  SimulationConfig edge = lightConfig(5);
+  edge.scenario.gps_fix_period_s = 1.0;
+  edge.scenario.tracking_window_s =
+      static_cast<double>(std::numeric_limits<int>::max()) - 1.0;
+  EXPECT_NO_THROW(validateConfig(edge));
+  edge.scenario.tracking_window_s += 1.0;
+  EXPECT_THROW(validateConfig(edge), std::invalid_argument);
 }
 
 TEST(Simulator, ZeroRequestsIsAnEmptyRun) {
