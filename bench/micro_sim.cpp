@@ -34,6 +34,57 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
+/// The metro local phase: each window pops ~5k mobility ticks sharing one
+/// instant and reschedules each one period later. One tick in 100 retires
+/// instead; the barrier between windows schedules its end at a distinct
+/// time, and for every end popped starts a new tick at the window edge, so
+/// the population stays at 5k. Items are pops.
+void BM_EventQueueTicks(benchmark::State& state) {
+  constexpr int kCalls = 5000;
+  constexpr double kPeriod = 5.0;
+  sim::EventQueue<int> q;  // payload >= 0: a tick; -1: an end
+  sim::Rng rng = sim::makeRng(2);
+  std::vector<double> offsets(4096);
+  for (double& o : offsets) o = sim::sampleUniform(rng, 0.0, 40.0 * kPeriod);
+  std::size_t next_offset = 0;
+  for (int i = 0; i < kCalls; ++i) q.push(0.0, i);
+  double window_end = kPeriod;
+  std::int64_t pops = 0;
+  for (auto _ : state) {
+    int retiring = 0;
+    int ended = 0;
+    while (const auto e = q.popBefore(window_end)) {
+      ++pops;
+      if (e->payload < 0) {
+        ++ended;
+      } else if (pops % 100 == 0) {
+        ++retiring;
+      } else {
+        q.push(e->time_s + kPeriod, e->payload);
+      }
+    }
+    for (int i = 0; i < retiring; ++i) {
+      q.push(window_end + offsets[next_offset++ % offsets.size()], -1);
+    }
+    for (int i = 0; i < ended; ++i) q.push(window_end, i);
+    window_end += kPeriod;
+  }
+  state.SetItemsProcessed(pops);
+}
+BENCHMARK(BM_EventQueueTicks);
+
+/// One call's stream as prepareCall() gets it: seeding plus the first draw,
+/// which pays the first twist.
+void BM_MakeRng(benchmark::State& state) {
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    sim::Rng rng = sim::makeRng(7, stream++);
+    benchmark::DoNotOptimize(rng());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MakeRng);
+
 sim::SimulationConfig benchConfig(int requests) {
   sim::SimulationConfig cfg;
   cfg.total_requests = requests;

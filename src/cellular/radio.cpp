@@ -21,7 +21,7 @@ double pathLossDb(const PathLossParams& params, double d_km) {
 }
 
 double shadowedPathLossDb(const PathLossParams& params, double d_km,
-                          std::mt19937_64& rng) {
+                          sim::Rng& rng) {
   double loss = pathLossDb(params, d_km);
   if (params.shadowing_sigma_db > 0.0) {
     std::normal_distribution<double> shadow{0.0, params.shadowing_sigma_db};
@@ -118,7 +118,7 @@ double RadioModel::sinrDb(Vec2 position, CellId serving_cell) const {
 }
 
 double RadioModel::shadowedSinrDb(Vec2 position, CellId serving_cell,
-                                  std::mt19937_64& rng) const {
+                                  sim::Rng& rng) const {
   std::normal_distribution<double> shadow{
       0.0, config_.path_loss.shadowing_sigma_db};
   const bool shadowing = config_.path_loss.shadowing_sigma_db > 0.0;

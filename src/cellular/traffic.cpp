@@ -50,7 +50,7 @@ double TrafficMix::meanDemandBu() const noexcept {
   return mean;
 }
 
-ServiceClass TrafficMix::sample(std::mt19937_64& rng) const {
+ServiceClass TrafficMix::sample(sim::Rng& rng) const {
   std::uniform_real_distribution<double> u{0.0, 1.0};
   const double x = u(rng);
   double cumulative = 0.0;

@@ -6,8 +6,9 @@
 
 #include <array>
 #include <cstdint>
-#include <random>
 #include <string_view>
+
+#include "sim/rng.hpp"
 
 namespace facs::cellular {
 
@@ -57,7 +58,7 @@ class TrafficMix {
   [[nodiscard]] double meanDemandBu() const noexcept;
 
   /// Samples a service class according to the mix.
-  [[nodiscard]] ServiceClass sample(std::mt19937_64& rng) const;
+  [[nodiscard]] ServiceClass sample(sim::Rng& rng) const;
 
  private:
   std::array<double, kServiceClassCount> fractions_;

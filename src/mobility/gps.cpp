@@ -16,7 +16,7 @@ GpsSampler::GpsSampler(double horizontal_error_m)
 }
 
 GpsFix GpsSampler::sample(double t_s, Vec2 true_position_km,
-                          std::mt19937_64& rng) const {
+                          sim::Rng& rng) const {
   if (horizontal_error_m_ == 0.0) return {t_s, true_position_km};
   std::normal_distribution<double> noise{0.0, horizontal_error_m_ / 1000.0};
   return {t_s, {true_position_km.x + noise(rng), true_position_km.y + noise(rng)}};

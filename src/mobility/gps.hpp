@@ -12,11 +12,11 @@
 /// admission logic must tolerate that (hence fuzzy logic).
 
 #include <optional>
-#include <random>
 #include <vector>
 
 #include "cellular/call.hpp"
 #include "mobility/model.hpp"
+#include "sim/rng.hpp"
 
 namespace facs::mobility {
 
@@ -35,7 +35,7 @@ class GpsSampler {
   explicit GpsSampler(double horizontal_error_m = 10.0);
 
   [[nodiscard]] GpsFix sample(double t_s, cellular::Vec2 true_position_km,
-                              std::mt19937_64& rng) const;
+                              sim::Rng& rng) const;
 
   [[nodiscard]] double horizontalErrorM() const noexcept {
     return horizontal_error_m_;

@@ -28,7 +28,7 @@ void advance(MotionState& state, double dt_s) {
 }  // namespace
 
 void ConstantVelocity::step(MotionState& state, double dt_s,
-                            std::mt19937_64& /*rng*/) {
+                            sim::Rng& /*rng*/) {
   requirePositiveDt(dt_s);
   advance(state, dt_s);
 }
@@ -49,7 +49,7 @@ double SpeedDependentTurn::sigmaDeg(double speed_kmh) const noexcept {
 }
 
 void SpeedDependentTurn::step(MotionState& state, double dt_s,
-                              std::mt19937_64& rng) {
+                              sim::Rng& rng) {
   requirePositiveDt(dt_s);
   const double sigma = sigmaDeg(state.speed_kmh) * std::sqrt(dt_s);
   if (sigma > 0.0) {
@@ -72,7 +72,7 @@ GaussMarkov::GaussMarkov(GaussMarkovParams params) : params_{params} {
   }
 }
 
-void GaussMarkov::step(MotionState& state, double dt_s, std::mt19937_64& rng) {
+void GaussMarkov::step(MotionState& state, double dt_s, sim::Rng& rng) {
   requirePositiveDt(dt_s);
   if (!mean_heading_set_) {
     mean_heading_deg_ = state.heading_deg;
@@ -108,7 +108,7 @@ RandomWaypoint::RandomWaypoint(double area_radius_km, double pause_s)
 }
 
 void RandomWaypoint::pickWaypoint(const MotionState& /*state*/,
-                                  std::mt19937_64& rng) {
+                                  sim::Rng& rng) {
   // Uniform over the disc (sqrt radius transform).
   std::uniform_real_distribution<double> u{0.0, 1.0};
   const double r = area_radius_km_ * std::sqrt(u(rng));
@@ -118,7 +118,7 @@ void RandomWaypoint::pickWaypoint(const MotionState& /*state*/,
 }
 
 void RandomWaypoint::step(MotionState& state, double dt_s,
-                          std::mt19937_64& rng) {
+                          sim::Rng& rng) {
   requirePositiveDt(dt_s);
   double remaining_s = dt_s;
   while (remaining_s > 0.0) {

@@ -73,6 +73,13 @@ StudyResult runPredictionStudy(const PredictionConfig& config) {
   if (!(config.horizon_s > 0.0) || !(config.step_s > 0.0)) {
     throw std::invalid_argument("prediction horizon and step must be positive");
   }
+  // Bounds the ground-truth roll-forward (t += step_s must advance t).
+  if (!(config.horizon_s / config.step_s <= sim::kMaxMobilityTicks)) {
+    throw std::invalid_argument(
+        "prediction horizon / step must be at most 1e8");
+  }
+  // track() counts its GPS fixes in an int, as the simulator does.
+  sim::validateScenario(config.scenario);
   if (config.samples < 2) {
     throw std::invalid_argument("prediction study needs >= 2 samples");
   }

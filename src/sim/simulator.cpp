@@ -869,8 +869,8 @@ class Engine {
   void prepareCall(int shard, std::uint32_t slot, double arrival_s) {
     CallState& c = call_pool_.at(slot);
     const CallId id = call_pool_.occupantOf(slot);
-    c.rng =
-        makeRng(cfg_.seed, kCallStreamBase + static_cast<std::uint64_t>(id));
+    c.rng.seed(streamSeed(cfg_.seed,
+                          kCallStreamBase + static_cast<std::uint64_t>(id)));
 
     const CellId spawn_cell = drawSpawnCell(c.rng);
     const bool mixed = !cell_mix_.empty() &&
@@ -1717,23 +1717,16 @@ void validateConfig(const SimulationConfig& cfg) {
                               cfg.arrivals == ArrivalProcess::Poisson);
     }
   }
-  const ScenarioParams& s = cfg.scenario;
-  if (s.tracking_window_s < 0.0) {
-    throw std::invalid_argument("tracking window must be >= 0");
-  }
-  if (s.tracking_window_s > 0.0 &&
-      (!(s.gps_fix_period_s > 0.0) ||
-       s.gps_fix_period_s > s.tracking_window_s)) {
+  validateScenario(cfg.scenario);
+  // A mobility period too small for the horizon would never advance the
+  // clock (t + period == t); the negated form also rejects NaN and inf.
+  if (cfg.enable_handoffs &&
+      !((cfg.arrival_window_s + cfg.scenario.tracking_window_s) /
+            cfg.mobility_update_s <=
+        kMaxMobilityTicks)) {
     throw std::invalid_argument(
-        "GPS fix period must be in (0, tracking_window]");
-  }
-  // The tracking walk counts its fixes in an int; the negated form also
-  // rejects the NaN of an infinite window over an infinite period.
-  if (s.tracking_window_s > 0.0 &&
-      !(s.tracking_window_s / s.gps_fix_period_s + 1.0 <=
-        static_cast<double>(std::numeric_limits<int>::max()))) {
-    throw std::invalid_argument(
-        "tracking window / GPS fix period must fit an int fix count");
+        "(arrival window + tracking window) / mobility update period must "
+        "be at most 1e8");
   }
 }
 

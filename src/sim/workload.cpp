@@ -1,12 +1,33 @@
 #include "sim/workload.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace facs::sim {
 
 using cellular::normalizeAngleDeg;
 using cellular::Vec2;
+
+void validateScenario(const ScenarioParams& s) {
+  if (s.tracking_window_s < 0.0) {
+    throw std::invalid_argument("tracking window must be >= 0");
+  }
+  if (s.tracking_window_s > 0.0 &&
+      (!(s.gps_fix_period_s > 0.0) ||
+       s.gps_fix_period_s > s.tracking_window_s)) {
+    throw std::invalid_argument(
+        "GPS fix period must be in (0, tracking_window]");
+  }
+  // The tracking walk counts its fixes in an int; the negated form also
+  // rejects the NaN of an infinite window over an infinite period.
+  if (s.tracking_window_s > 0.0 &&
+      !(s.tracking_window_s / s.gps_fix_period_s + 1.0 <=
+        static_cast<double>(std::numeric_limits<int>::max()))) {
+    throw std::invalid_argument(
+        "tracking window / GPS fix period must fit an int fix count");
+  }
+}
 
 RequestPlan drawRequest(const ScenarioParams& scenario, Vec2 station_center,
                         cellular::CellId target_cell, Rng& rng) {

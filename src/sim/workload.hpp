@@ -44,6 +44,19 @@ struct ScenarioParams {
   std::optional<double> gps_error_m = 10.0;
 };
 
+/// Upper bound on the mobility steps one horizon may span: a run's
+/// (arrival window + tracking window) / mobility_update_s, or a prediction
+/// study's horizon / step. Far above any shipped scenario (about 1e4), and
+/// small enough that every step advances the clock: at 1e8 steps a step is
+/// still 1e-8 of the horizon, far above a double's 2^-52 resolution.
+inline constexpr double kMaxMobilityTicks = 1e8;
+
+/// Checks the tracking parameters every tracked request relies on: a
+/// tracking window >= 0 and a GPS fix period in (0, window] whose fix count
+/// fits an int. Shared by validateConfig() and the prediction study.
+/// \throws std::invalid_argument describing the first problem found.
+void validateScenario(const ScenarioParams& scenario);
+
 /// One sampled request (before tracking / admission).
 struct RequestPlan {
   mobility::MotionState initial;

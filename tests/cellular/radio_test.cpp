@@ -46,7 +46,7 @@ TEST(PathLoss, ClampsNearFieldAndRejectsNegative) {
 TEST(PathLoss, ShadowingIsZeroMeanAndDisablable) {
   PathLossParams p;
   p.shadowing_sigma_db = 8.0;
-  std::mt19937_64 rng{1};
+  sim::Rng rng{1};
   double sum = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -131,7 +131,7 @@ TEST(RadioModel, ShadowedSinrVariesAroundDeterministic) {
   HexNetwork net{1};
   net.station(3).allocate(1, 40, true);
   const RadioModel radio{net};
-  std::mt19937_64 rng{3};
+  sim::Rng rng{3};
   const Vec2 user{4.0, 0.0};
   const double det = radio.sinrDb(user, 0);
   double sum = 0.0;
@@ -287,7 +287,7 @@ TEST(RadioModel, TruncatedTailBoundHoldsAcrossRandomPlacements) {
   const RadioModel exact{net};
   const double bound = bounded.truncationTailBoundMw();
   ASSERT_GT(bound, 0.0);
-  std::mt19937_64 rng{20250808};
+  sim::Rng rng{20250808};
   std::uniform_real_distribution<double> uni{0.0, 1.0};
   std::vector<double> util(net.cellCount());
   for (int trial = 0; trial < 200; ++trial) {

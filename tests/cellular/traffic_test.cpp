@@ -49,7 +49,7 @@ TEST(TrafficMix, Validation) {
 
 TEST(TrafficMix, SamplingMatchesFractions) {
   const TrafficMix mix = TrafficMix::paperDefault();
-  std::mt19937_64 rng{12345};
+  sim::Rng rng{12345};
   std::array<int, kServiceClassCount> counts{};
   constexpr int kDraws = 100000;
   for (int i = 0; i < kDraws; ++i) {
@@ -62,7 +62,7 @@ TEST(TrafficMix, SamplingMatchesFractions) {
 
 TEST(TrafficMix, DegenerateMixAlwaysSamplesThatClass) {
   const TrafficMix video_only{0.0, 0.0, 1.0};
-  std::mt19937_64 rng{7};
+  sim::Rng rng{7};
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(video_only.sample(rng), ServiceClass::Video);
   }

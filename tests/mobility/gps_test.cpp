@@ -16,7 +16,7 @@ TEST(GpsSampler, ValidatesError) {
 
 TEST(GpsSampler, ZeroErrorReturnsTruth) {
   const GpsSampler sampler{0.0};
-  std::mt19937_64 rng{1};
+  sim::Rng rng{1};
   const GpsFix fix = sampler.sample(12.0, {3.0, 4.0}, rng);
   EXPECT_DOUBLE_EQ(fix.t_s, 12.0);
   EXPECT_EQ(fix.position_km, (Vec2{3.0, 4.0}));
@@ -24,7 +24,7 @@ TEST(GpsSampler, ZeroErrorReturnsTruth) {
 
 TEST(GpsSampler, NoiseMagnitudeMatchesSigma) {
   const GpsSampler sampler{10.0};  // 10 m
-  std::mt19937_64 rng{2};
+  sim::Rng rng{2};
   double sum_sq = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -101,7 +101,7 @@ TEST(GpsEstimator, SnapshotMeasuresAngleRelativeToStation) {
 TEST(GpsEstimator, NoisyFixesStillUsable) {
   // 10 m noise over a 30 s window at 36 km/h: speed error should be small.
   const GpsSampler sampler{10.0};
-  std::mt19937_64 rng{42};
+  sim::Rng rng{42};
   GpsEstimator est{7};
   for (int i = 0; i <= 6; ++i) {
     const Vec2 truth{i * 0.05, 0.0};  // 36 km/h east, 5 s fixes

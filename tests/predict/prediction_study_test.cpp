@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace facs::predict {
 namespace {
 
@@ -33,6 +35,26 @@ TEST(PredictionStudy, ValidatesConfig) {
   bad = {};
   bad.samples = 1;
   EXPECT_THROW((void)runPredictionStudy(bad), std::invalid_argument);
+}
+
+TEST(PredictionStudy, RejectsUnboundedWalks) {
+  // A step too small for the horizon never advances the roll-forward.
+  for (const double step : {1e-300, 1e-12}) {
+    PredictionConfig bad;
+    bad.step_s = step;
+    EXPECT_THROW((void)runPredictionStudy(bad), std::invalid_argument)
+        << step;
+  }
+  PredictionConfig inf;
+  inf.horizon_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)runPredictionStudy(inf), std::invalid_argument);
+  // The tracking walk's fix count goes through the simulator's check.
+  PredictionConfig fixes;
+  fixes.scenario.tracking_window_s = 10.0;
+  fixes.scenario.gps_fix_period_s = 1e-300;
+  EXPECT_THROW((void)runPredictionStudy(fixes), std::invalid_argument);
+  fixes.scenario.gps_fix_period_s = 20.0;  // beyond the window
+  EXPECT_THROW((void)runPredictionStudy(fixes), std::invalid_argument);
 }
 
 PredictionConfig smallStudy() {

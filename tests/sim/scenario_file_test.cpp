@@ -296,6 +296,13 @@ TEST(ScenarioFile, InvalidConfigsFailAtParseTime) {
   // Absurd ring counts are capped before any cell math can overflow.
   expectError("[scenario]\nname = \"x\"\n[network]\nrings = 2000000000\n", 0,
               "rings");
+  // A mobility period that could not advance the clock would hang the run.
+  expectError("[scenario]\nname = \"x\"\n[network]\nhandoffs = true\n"
+              "mobility_update_s = 1e-300\n",
+              0, "mobility update period");
+  expectError("[scenario]\nname = \"x\"\n[network]\nhandoffs = true\n"
+              "mobility_update_s = 1e-12\n",
+              0, "mobility update period");
 }
 
 TEST(ScenarioFile, LineBreaksInStringsRoundTrip) {

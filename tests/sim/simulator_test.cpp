@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <limits>
 
 #include "cac/baselines.hpp"
@@ -99,6 +101,41 @@ TEST(Simulator, RejectsFixCountsBeyondInt) {
   EXPECT_NO_THROW(validateConfig(edge));
   edge.scenario.tracking_window_s += 1.0;
   EXPECT_THROW(validateConfig(edge), std::invalid_argument);
+}
+
+TEST(Simulator, RejectsMobilityPeriodsBeyondTickCap) {
+  // With a period this small, t + period == t and the run never ended.
+  for (const double period : {1e-300, 1e-12}) {
+    SimulationConfig bad = lightConfig(5);
+    bad.enable_handoffs = true;
+    bad.mobility_update_s = period;
+    EXPECT_THROW(validateConfig(bad), std::invalid_argument) << period;
+    EXPECT_THROW((void)runSimulation(bad, completeSharing()),
+                 std::invalid_argument)
+        << period;
+  }
+  SimulationConfig edge = lightConfig(5);
+  edge.enable_handoffs = true;
+  edge.scenario.tracking_window_s = 0.0;
+  edge.arrival_window_s = 400.0;
+  edge.mobility_update_s = 400.0 / kMaxMobilityTicks;
+  EXPECT_NO_THROW(validateConfig(edge));
+  edge.mobility_update_s = std::nextafter(edge.mobility_update_s, 0.0);
+  EXPECT_THROW(validateConfig(edge), std::invalid_argument);
+  // The horizon counts the tracking window too.
+  edge.mobility_update_s = 400.0 / kMaxMobilityTicks;
+  edge.scenario.tracking_window_s = 10.0;
+  edge.scenario.gps_fix_period_s = 1.0;
+  EXPECT_THROW(validateConfig(edge), std::invalid_argument);
+  // An infinite arrival window has no finite tick count.
+  edge.arrival_window_s = std::numeric_limits<double>::infinity();
+  edge.mobility_update_s = 5.0;
+  EXPECT_THROW(validateConfig(edge), std::invalid_argument);
+  // Without handoffs the period is never used, so it is not checked.
+  SimulationConfig off = lightConfig(5);
+  off.enable_handoffs = false;
+  off.mobility_update_s = 1e-300;
+  EXPECT_NO_THROW(validateConfig(off));
 }
 
 TEST(Simulator, ZeroRequestsIsAnEmptyRun) {
