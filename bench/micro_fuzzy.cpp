@@ -63,8 +63,7 @@ BENCHMARK(BM_Flc2Inference);
 /// fuzzification memo gets the hit pattern the serialized commit phase
 /// produces. Compare against BM_Flc2Inference for the per-decision win.
 void BM_Flc2InferBatch(benchmark::State& state) {
-  fuzzy::MamdaniEngine flc2 = core::buildFlc2();
-  flc2.seal();
+  const fuzzy::MamdaniEngine flc2 = core::buildFlc2();
   const std::size_t entries = static_cast<std::size_t>(state.range(0));
   std::vector<double> inputs;
   inputs.reserve(entries * 3);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace facs::cellular {
@@ -92,12 +94,15 @@ double PolicySpec::numberFor(std::string_view key, double fallback) const {
 }
 
 int PolicySpec::toInt(double value, std::string_view what) const {
-  const int i = static_cast<int>(value);
-  if (static_cast<double>(i) != value) {
+  // Range-check before the cast: converting NaN, an infinity or a double
+  // outside int's range to int is undefined behaviour.
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
     throw PolicySpecError("policy '" + name_ + "': " + std::string{what} +
                           " expects an integer");
   }
-  return i;
+  return static_cast<int>(value);
 }
 
 int PolicySpec::intAt(std::size_t index, int fallback) const {

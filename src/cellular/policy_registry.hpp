@@ -82,7 +82,8 @@ class PolicySpec {
   [[nodiscard]] double numberFor(std::string_view key, double fallback) const;
 
   /// Like numberAt/numberFor, but reject fractional values instead of
-  /// silently truncating — "guard:8.5" is a typo, not guard:8.
+  /// silently truncating — "guard:8.5" is a typo, not guard:8 — and
+  /// non-finite or out-of-int-range ones ("res=nan", "reach=1e300").
   [[nodiscard]] int intAt(std::size_t index, int fallback) const;
   [[nodiscard]] int intFor(std::string_view key, int fallback) const;
 

@@ -202,9 +202,10 @@ const PolicyRegistrar register_facs{
       }
       if (spec.hasKey("res")) {
         const int res = spec.intFor("res", 1001);
-        if (res < 2) {
+        if (res < 2 || res > fuzzy::kMaxResolution) {
           throw PolicySpecError(
-              "policy 'facs': defuzzification resolution must be >= 2");
+              "policy 'facs': defuzzification resolution must be in [2, " +
+              std::to_string(fuzzy::kMaxResolution) + "]");
         }
         cfg.flc1.resolution = res;
         cfg.flc2.resolution = res;

@@ -107,7 +107,7 @@ class FacsController final : public cellular::AdmissionController {
 
   /// FLC1 as a request-time precompute: depends only on the snapshot, so
   /// the simulator runs it in the parallel prepare phase. Thread-safe (the
-  /// engines are immutable and sealed; scratch state is per-thread).
+  /// engines are immutable; scratch state is per-thread).
   [[nodiscard]] cellular::PredictedCv precompute(
       const cellular::UserSnapshot& user) const override;
 
@@ -115,11 +115,11 @@ class FacsController final : public cellular::AdmissionController {
   /// FLC2 execution path: decide() routes each decision through it as a
   /// batch of one, so the serialized commit phase always lands here. The
   /// rule-evaluation setup a decision used to pay — structural validation
-  /// (sealed away at engine build) and inference-buffer allocation (a warm
-  /// per-thread scratch) — is amortized across all decisions of a tick
-  /// window whether they arrive as one span or as consecutive decide()
+  /// (done once, when the engine is built) and inference-buffer allocation
+  /// (a warm per-thread scratch) — is amortized across all decisions of a
+  /// tick window whether they arrive as one span or as consecutive decide()
   /// calls, and the batch runs MamdaniEngine::inferBatch: aggregation
-  /// iterates FLC2's sealed sample-grid tables and fuzzification of each
+  /// iterates FLC2's sample-grid tables and fuzzification of each
   /// input is memoized across consecutive entries whose crisp value is
   /// unchanged (Cs rarely moves between a window's decisions). Entries
   /// carry their own ledger state and are never reordered (each decision's

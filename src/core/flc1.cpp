@@ -2,11 +2,13 @@
 
 namespace facs::core {
 
+using fuzzy::EngineSpec;
 using fuzzy::Interval;
 using fuzzy::LinguisticVariable;
 using fuzzy::makeTrapezoid;
 using fuzzy::makeTriangle;
 using fuzzy::MamdaniEngine;
+using fuzzy::RuleSpec;
 
 const std::array<Frb1Row, 42>& frb1Table() noexcept {
   // Table 1 of the paper, rows 0-41.
@@ -37,8 +39,6 @@ const std::array<Frb1Row, 42>& frb1Table() noexcept {
 }
 
 MamdaniEngine buildFlc1(fuzzy::EngineConfig config) {
-  MamdaniEngine engine{"FLC1", config};
-
   // S — user speed, Fig. 5(a): breakpoints 0, 15, 30, 60, 120 km/h.
   LinguisticVariable speed{"S", Interval{kSpeedMinKmh, kSpeedMaxKmh}};
   speed.addTerm("Sl", makeTrapezoid(0.0, 15.0, 0.0, 15.0));
@@ -72,16 +72,24 @@ MamdaniEngine buildFlc1(fuzzy::EngineConfig config) {
   }
   cv.addTerm("Cv9", makeTrapezoid(1.0, 1.0, kStep, 0.0));
 
-  engine.addInput(std::move(speed));
-  engine.addInput(std::move(angle));
-  engine.addInput(std::move(distance));
-  engine.setOutput(std::move(cv));
-
-  for (const Frb1Row& row : frb1Table()) {
-    engine.addRule({row.s, row.a, row.d}, row.cv);
-  }
-  engine.seal();  // validate once; every inference skips the re-check
-  return engine;
+  EngineSpec spec;
+  spec.name = "FLC1";
+  spec.config = config;
+  spec.inputs.push_back(std::move(speed));
+  spec.inputs.push_back(std::move(angle));
+  spec.inputs.push_back(std::move(distance));
+  spec.output = std::move(cv);
+  // Built once per process; the engine only reads the names while it is
+  // constructed.
+  static const std::vector<RuleSpec> kRules = [] {
+    std::vector<RuleSpec> rules;
+    for (const Frb1Row& row : frb1Table()) {
+      rules.push_back({{row.s, row.a, row.d}, row.cv});
+    }
+    return rules;
+  }();
+  spec.rules = kRules;
+  return MamdaniEngine{std::move(spec)};
 }
 
 }  // namespace facs::core

@@ -38,8 +38,8 @@ struct Frb1Row {
 [[nodiscard]] const std::array<Frb1Row, 42>& frb1Table() noexcept;
 
 /// Builds FLC1 with the paper's membership functions and rule base.
-/// The returned engine is valid (checkValid() passes) and complete over
-/// the input cartesian product.
+/// The engine's constructor validates it, and its rule base is complete
+/// over the input cartesian product.
 [[nodiscard]] fuzzy::MamdaniEngine buildFlc1(
     fuzzy::EngineConfig config = {});
 

@@ -2,11 +2,13 @@
 
 namespace facs::core {
 
+using fuzzy::EngineSpec;
 using fuzzy::Interval;
 using fuzzy::LinguisticVariable;
 using fuzzy::makeTrapezoid;
 using fuzzy::makeTriangle;
 using fuzzy::MamdaniEngine;
+using fuzzy::RuleSpec;
 
 const std::array<Frb2Row, 27>& frb2Table() noexcept {
   // Table 2 of the paper, rows 0-26.
@@ -30,8 +32,6 @@ const std::array<Frb2Row, 27>& frb2Table() noexcept {
 }
 
 MamdaniEngine buildFlc2(fuzzy::EngineConfig config) {
-  MamdaniEngine engine{"FLC2", config};
-
   // Cv — Fig. 6(a): Bad / Normal / Good over [0, 1].
   LinguisticVariable cv{"Cv", Interval{0.0, 1.0}};
   cv.addTerm("B", makeTriangle(0.0, 0.0, 0.5));
@@ -59,16 +59,24 @@ MamdaniEngine buildFlc2(fuzzy::EngineConfig config) {
   decision.addTerm("WA", makeTriangle(0.5, 0.5, 0.5));
   decision.addTerm("A", makeTrapezoid(1.0, 1.0, 0.5, 0.0));
 
-  engine.addInput(std::move(cv));
-  engine.addInput(std::move(request));
-  engine.addInput(std::move(counter));
-  engine.setOutput(std::move(decision));
-
-  for (const Frb2Row& row : frb2Table()) {
-    engine.addRule({row.cv, row.r, row.cs}, row.ar);
-  }
-  engine.seal();  // validate once; every inference skips the re-check
-  return engine;
+  EngineSpec spec;
+  spec.name = "FLC2";
+  spec.config = config;
+  spec.inputs.push_back(std::move(cv));
+  spec.inputs.push_back(std::move(request));
+  spec.inputs.push_back(std::move(counter));
+  spec.output = std::move(decision);
+  // Built once per process; the engine only reads the names while it is
+  // constructed.
+  static const std::vector<RuleSpec> kRules = [] {
+    std::vector<RuleSpec> rules;
+    for (const Frb2Row& row : frb2Table()) {
+      rules.push_back({{row.cv, row.r, row.cs}, row.ar});
+    }
+    return rules;
+  }();
+  spec.rules = kRules;
+  return MamdaniEngine{std::move(spec)};
 }
 
 }  // namespace facs::core

@@ -129,8 +129,8 @@ double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
 
 double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
                  Interval universe, int resolution) {
-  // Shared per thread: repeated callable defuzzification (the unsealed
-  // engine path, tests, examples) stays allocation-free after warmup.
+  // Shared per thread: repeated callable defuzzification (the curve
+  // oracle in the tests, examples) stays allocation-free after warmup.
   static thread_local DefuzzScratch scratch;
   return defuzzify(method, curve, universe, resolution, scratch);
 }

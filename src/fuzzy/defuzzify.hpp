@@ -57,9 +57,9 @@ struct DefuzzScratch {
 /// Defuzzifies an already-sampled curve: \p x is the sample grid, \p mu the
 /// membership at each sample, \p half_dx the trapezoid weights
 /// (0.5 * (x[i+1] - x[i]) per segment, so |half_dx| == |x| - 1). This is
-/// the sealed-engine fast path — the grid and weights are precomputed once
-/// at seal() and every inference only fills \p mu. Bit-identical to
-/// sampling the equivalent callable at the same points.
+/// the engine's inference path — the grid and weights are precomputed once
+/// when the engine is built and every inference only fills \p mu.
+/// Bit-identical to sampling the equivalent callable at the same points.
 ///
 /// \throws std::invalid_argument on mismatched spans or fewer than 2 samples.
 [[nodiscard]] double defuzzifySampled(Defuzzifier method,
@@ -69,7 +69,7 @@ struct DefuzzScratch {
                                       DefuzzScratch& scratch);
 
 /// Fills \p weights with the trapezoid integration weights of grid \p x:
-/// weights[i] = 0.5 * (x[i+1] - x[i]). The one formula both the sealed
+/// weights[i] = 0.5 * (x[i+1] - x[i]). The one formula both the engine's
 /// tables and the sampling path use, so their integrals share every bit.
 void fillTrapezoidWeights(std::span<const double> x,
                           std::vector<double>& weights);

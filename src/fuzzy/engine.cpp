@@ -10,16 +10,15 @@ namespace facs::fuzzy {
 
 namespace {
 
-/// Monotonic id source for seal(): a BatchScratch memo keyed on the id can
-/// never be replayed against a different engine (or the same engine after a
-/// mutation + reseal), even if an engine object is destroyed and another
-/// constructed at the same address.
-std::atomic<std::uint64_t> g_seal_counter{0};
+/// Monotonic id source for engine construction: a BatchScratch memo keyed
+/// on the id can never be replayed against a different engine, even if an
+/// engine object is destroyed and another constructed at the same address.
+std::atomic<std::uint64_t> g_engine_counter{0};
 
-/// The aggregation inner loop of the sealed path, specialized per operator
-/// pair so the per-sample work is branch-light and autovectorizable. Each
-/// functor mirrors apply() in norms.cpp exactly — same primitive ops, so
-/// the specialized loops share every bit with the generic path.
+/// The aggregation inner loop, specialized per operator pair so the
+/// per-sample work is branch-light and autovectorizable. Each functor
+/// mirrors apply() in norms.cpp exactly — same primitive ops, so the
+/// specialized loops share every bit with the generic operator.
 template <typename ImplOp, typename AggOp>
 void accumulateRow(double activation, const double* term_mu, double* mu,
                    std::size_t n, ImplOp impl, AggOp agg) {
@@ -82,73 +81,53 @@ void accumulateTerm(TNorm impl, SNorm agg, double activation,
   }
 }
 
-}  // namespace
-
-MamdaniEngine::MamdaniEngine(std::string name, EngineConfig config)
-    : name_{std::move(name)}, config_{config} {
-  if (name_.empty()) {
+/// The structural checks that need no rule resolution, run before the
+/// engine's members take ownership of the spec's parts.
+EngineSpec& checkShape(EngineSpec& spec) {
+  if (spec.name.empty()) {
     throw std::invalid_argument("engine name must not be empty");
   }
-  if (config_.resolution < 2) {
-    throw std::invalid_argument("engine resolution must be >= 2");
+  if (spec.config.resolution < 2 || spec.config.resolution > kMaxResolution) {
+    throw std::invalid_argument("engine '" + spec.name +
+                                "': resolution must be in [2, " +
+                                std::to_string(kMaxResolution) + "]");
   }
-}
-
-std::size_t MamdaniEngine::addInput(LinguisticVariable variable) {
-  unseal();
-  inputs_.push_back(std::move(variable));
-  return inputs_.size() - 1;
-}
-
-void MamdaniEngine::setOutput(LinguisticVariable variable) {
-  unseal();
-  output_.clear();
-  output_.push_back(std::move(variable));
-}
-
-void MamdaniEngine::addRule(const std::vector<std::string>& antecedent_terms,
-                            const std::string& consequent_term, double weight) {
-  unseal();
-  rules_.add(inputs_, output(), antecedent_terms, consequent_term, weight);
-}
-
-void MamdaniEngine::addRule(Rule rule) {
-  unseal();
-  rules_.add(std::move(rule));
-}
-
-const LinguisticVariable& MamdaniEngine::output() const {
-  if (output_.empty()) {
-    throw std::logic_error("engine '" + name_ + "' has no output variable");
+  const std::string where = "engine '" + spec.name + "'";
+  if (spec.inputs.empty()) {
+    throw std::logic_error(where + " has no input variables");
   }
-  return output_.front();
-}
-
-void MamdaniEngine::checkValid() const {
-  if (inputs_.empty()) {
-    throw std::logic_error("engine '" + name_ + "' has no input variables");
-  }
-  for (const auto& v : inputs_) {
+  for (const auto& v : spec.inputs) {
     if (v.termCount() == 0) {
-      throw std::logic_error("engine '" + name_ + "': input variable '" +
-                             v.name() + "' has no terms");
+      throw std::logic_error(where + ": input variable '" + v.name() +
+                             "' has no terms");
     }
   }
-  const LinguisticVariable& out = output();  // throws if missing
-  if (out.termCount() == 0) {
-    throw std::logic_error("engine '" + name_ + "': output variable '" +
-                           out.name() + "' has no terms");
+  if (!spec.output) throw std::logic_error(where + " has no output variable");
+  if (spec.output->termCount() == 0) {
+    throw std::logic_error(where + ": output variable '" +
+                           spec.output->name() + "' has no terms");
   }
-  if (rules_.empty()) {
-    throw std::logic_error("engine '" + name_ + "' has an empty rule base");
+  if (spec.rules.empty()) {
+    throw std::logic_error(where + " has an empty rule base");
   }
-  const RuleBaseReport report = rules_.validate(inputs_, out);
-  if (!report.malformed.empty()) {
-    std::ostringstream os;
-    os << "engine '" << name_ << "': rule " << report.malformed.front()
-       << " is malformed (bad arity, term index or weight)";
-    throw std::logic_error(os.str());
+  return spec;
+}
+
+}  // namespace
+
+MamdaniEngine::MamdaniEngine(EngineSpec spec)
+    : name_{std::move(checkShape(spec).name)},
+      config_{spec.config},
+      inputs_{std::move(spec.inputs)},
+      output_{std::move(*spec.output)},
+      id_{g_engine_counter.fetch_add(1, std::memory_order_relaxed) + 1} {
+  for (const RuleSpec& r : spec.rules) {
+    rules_.add(inputs_, output_, r.antecedent, r.consequent, r.weight);
   }
+  // Name resolution already rejected malformed rules; conflicts remain.
+  // Uncovered combinations are allowed (sparse rule bases are legal); the
+  // FACS controllers assert completeness separately in their tests.
+  const RuleBaseReport report = rules_.validate(inputs_, output_);
   if (!report.conflicts.empty()) {
     std::ostringstream os;
     os << "engine '" << name_ << "': rules " << report.conflicts.front().first
@@ -156,28 +135,13 @@ void MamdaniEngine::checkValid() const {
        << " share an antecedent but disagree on the consequent";
     throw std::logic_error(os.str());
   }
-  // Uncovered combinations are allowed (sparse rule bases are legal); the
-  // FACS controllers assert completeness separately in their tests.
-}
 
-void MamdaniEngine::setConfig(const EngineConfig& config) {
-  if (config.resolution < 2) {
-    throw std::invalid_argument("engine resolution must be >= 2");
-  }
-  unseal();
-  config_ = config;
-}
-
-void MamdaniEngine::seal() {
-  checkValid();
-
-  // Precompute the defuzzification tables on the fixed sample grid. The
-  // grid formula is exactly the sampling loop in defuzzify(): x = lo +
-  // step * i with step = width / (resolution - 1) — a pure function of
-  // (universe, resolution) — so sealed lookups reproduce the unsealed
-  // path's samples bit for bit.
-  const LinguisticVariable& out = output();
-  const Interval u = out.universe();
+  // The defuzzification tables on the fixed sample grid. The grid formula
+  // is exactly the sampling loop in defuzzify(): x = lo + step * i with
+  // step = width / (resolution - 1) — a pure function of (universe,
+  // resolution) — so table lookups reproduce sampling the aggregated curve
+  // through the term objects bit for bit.
+  const Interval u = output_.universe();
   const auto n = static_cast<std::size_t>(config_.resolution);
   tables_.x.resize(n);
   const double step = u.width() / (config_.resolution - 1);
@@ -185,24 +149,20 @@ void MamdaniEngine::seal() {
     tables_.x[static_cast<std::size_t>(i)] = u.lo + step * i;
   }
   fillTrapezoidWeights(tables_.x, tables_.half_dx);
-  tables_.term_mu.resize(out.termCount() * n);
-  for (std::size_t t = 0; t < out.termCount(); ++t) {
-    out.tabulateTerm(t, tables_.x,
-                     std::span<double>{tables_.term_mu.data() + t * n, n});
+  tables_.term_mu.resize(output_.termCount() * n);
+  for (std::size_t t = 0; t < output_.termCount(); ++t) {
+    output_.tabulateTerm(t, tables_.x,
+                         std::span<double>{tables_.term_mu.data() + t * n, n});
   }
-
-  sealed_ = true;
-  seal_id_ = g_seal_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void MamdaniEngine::unseal() {
-  sealed_ = false;
-  seal_id_ = 0;
-  tables_ = OutputTables{};
-}
-
-void MamdaniEngine::ensureValid() const {
-  if (!sealed_) checkValid();
+void MamdaniEngine::checkArity(std::size_t n) const {
+  if (n != inputs_.size()) {
+    std::ostringstream os;
+    os << "engine '" << name_ << "' expects " << inputs_.size()
+       << " inputs, got " << n;
+    throw std::invalid_argument(os.str());
+  }
 }
 
 void MamdaniEngine::fireInto(const std::vector<FuzzyVector>& fuzzified,
@@ -225,11 +185,10 @@ double MamdaniEngine::aggregateAndDefuzzify(
     const std::vector<double>& strengths, InferenceScratch& scratch) const {
   // Per-output-term activation level: the s-norm of the strengths of all
   // rules concluding in that term. Computing per-term activation first (and
-  // evaluating each term's membership once per sample point) keeps the
-  // aggregated-curve evaluation O(#terms) instead of O(#rules).
-  const LinguisticVariable& out = output();
+  // folding each term's sample row once) keeps the aggregated-curve
+  // evaluation O(#terms) instead of O(#rules).
   std::vector<double>& term_activation = scratch.term_activation;
-  term_activation.assign(out.termCount(), 0.0);
+  term_activation.assign(output_.termCount(), 0.0);
   for (std::size_t i = 0; i < strengths.size(); ++i) {
     if (strengths[i] <= 0.0) continue;
     const std::size_t t = rules_.rule(i).consequent;
@@ -237,62 +196,27 @@ double MamdaniEngine::aggregateAndDefuzzify(
         apply(config_.aggregation, term_activation[t], strengths[i]);
   }
 
-  if (sealed_) {
-    // Sealed fast path: fold each active term's precomputed sample row into
-    // the aggregated curve. Term-outer / sample-inner reorders only the
-    // loop nest, not the arithmetic — per sample the same apply() chain
-    // runs in the same ascending-term order as the curve lambda below, so
-    // the result is bit-identical while the inner loop walks contiguous
-    // doubles.
-    const std::size_t n = tables_.x.size();
-    scratch.curve_mu.assign(n, 0.0);
-    for (std::size_t t = 0; t < term_activation.size(); ++t) {
-      if (term_activation[t] <= 0.0) continue;
-      accumulateTerm(config_.implication, config_.aggregation,
-                     term_activation[t], tables_.term_mu.data() + t * n,
-                     scratch.curve_mu.data(), n);
-    }
-    return defuzzifySampled(config_.defuzzifier, tables_.x, scratch.curve_mu,
-                            tables_.half_dx, scratch.defuzz);
+  // Fold each active term's precomputed sample row into the aggregated
+  // curve. Term-outer / sample-inner is only a loop-nest order: per sample
+  // the same apply() chain runs in ascending-term order, exactly as
+  // evaluating the curve point by point through the term objects would.
+  const std::size_t n = tables_.x.size();
+  scratch.curve_mu.assign(n, 0.0);
+  for (std::size_t t = 0; t < term_activation.size(); ++t) {
+    if (term_activation[t] <= 0.0) continue;
+    accumulateTerm(config_.implication, config_.aggregation,
+                   term_activation[t], tables_.term_mu.data() + t * n,
+                   scratch.curve_mu.data(), n);
   }
-
-  const auto curve = [&](double x) {
-    double mu = 0.0;
-    for (std::size_t t = 0; t < term_activation.size(); ++t) {
-      if (term_activation[t] <= 0.0) continue;
-      const double clipped = apply(config_.implication, term_activation[t],
-                                   out.term(t).degree(x));
-      mu = apply(config_.aggregation, mu, clipped);
-    }
-    return mu;
-  };
-
-  return defuzzify(config_.defuzzifier, curve, out.universe(),
-                   config_.resolution, scratch.defuzz);
+  return defuzzifySampled(config_.defuzzifier, tables_.x, scratch.curve_mu,
+                          tables_.half_dx, scratch.defuzz);
 }
 
 double MamdaniEngine::infer(std::span<const double> crisp_inputs) const {
   // Shared across engines on the same thread; every inference resizes the
   // buffers to its own shape, so the steady state allocates nothing.
   static thread_local InferenceScratch scratch;
-  return inferInto(crisp_inputs, scratch);
-}
-
-double MamdaniEngine::infer(std::span<const double> crisp_inputs,
-                            InferenceScratch& scratch) const {
-  return inferInto(crisp_inputs, scratch);
-}
-
-double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
-                                InferenceScratch& scratch) const {
-  ensureValid();
-  if (crisp_inputs.size() != inputs_.size()) {
-    std::ostringstream os;
-    os << "engine '" << name_ << "' expects " << inputs_.size()
-       << " inputs, got " << crisp_inputs.size();
-    throw std::invalid_argument(os.str());
-  }
-
+  checkArity(crisp_inputs.size());
   scratch.fuzzified.resize(inputs_.size());
   for (std::size_t v = 0; v < inputs_.size(); ++v) {
     inputs_[v].fuzzifyInto(crisp_inputs[v], scratch.fuzzified[v]);
@@ -304,7 +228,6 @@ double MamdaniEngine::inferInto(std::span<const double> crisp_inputs,
 void MamdaniEngine::inferBatch(std::span<const double> crisp_inputs,
                                std::span<double> outputs,
                                BatchScratch& scratch) const {
-  ensureValid();
   const std::size_t arity = inputs_.size();
   if (crisp_inputs.size() != outputs.size() * arity) {
     std::ostringstream os;
@@ -314,14 +237,10 @@ void MamdaniEngine::inferBatch(std::span<const double> crisp_inputs,
   }
 
   // The memo (previous entry's crisp inputs, fuzzified degrees and output)
-  // only transfers across calls when this scratch last served this exact
-  // sealed engine; any other history is dropped. Unsealed engines never
-  // carry a memo out (seal_id_ == 0 matches nothing), though entries within
-  // this one call still share it — the engine cannot mutate mid-span.
-  if (scratch.engine_seal_id != seal_id_ || seal_id_ == 0) {
-    scratch.warm = false;
-  }
-  scratch.engine_seal_id = seal_id_;
+  // only transfers across calls when this scratch last served this engine
+  // or a copy of it; any other history is dropped.
+  if (scratch.engine_id != id_) scratch.warm = false;
+  scratch.engine_id = id_;
   scratch.inference.fuzzified.resize(arity);
   scratch.last_inputs.resize(arity);
 
@@ -353,13 +272,7 @@ void MamdaniEngine::inferBatch(std::span<const double> crisp_inputs,
 
 InferenceTrace MamdaniEngine::inferTraced(
     std::span<const double> crisp_inputs) const {
-  ensureValid();
-  if (crisp_inputs.size() != inputs_.size()) {
-    std::ostringstream os;
-    os << "engine '" << name_ << "' expects " << inputs_.size()
-       << " inputs, got " << crisp_inputs.size();
-    throw std::invalid_argument(os.str());
-  }
+  checkArity(crisp_inputs.size());
 
   InferenceTrace trace;
   trace.inputs.reserve(inputs_.size());
@@ -370,9 +283,9 @@ InferenceTrace MamdaniEngine::inferTraced(
     trace.fuzzified.push_back(inputs_[v].fuzzify(clamped));
   }
 
-  // Exactly the scratch path's arithmetic — fireInto() and
-  // aggregateAndDefuzzify() are the single implementation both share — plus
-  // the activation bookkeeping only the trace wants.
+  // Exactly infer()'s arithmetic — fireInto() and aggregateAndDefuzzify()
+  // are the single implementation both share — plus the activation
+  // bookkeeping only the trace wants.
   InferenceScratch scratch;
   fireInto(trace.fuzzified, scratch.strengths);
   for (std::size_t i = 0; i < scratch.strengths.size(); ++i) {
@@ -382,7 +295,7 @@ InferenceTrace MamdaniEngine::inferTraced(
   }
 
   trace.crisp_output = aggregateAndDefuzzify(scratch.strengths, scratch);
-  trace.winning_output_term = output().winningTerm(trace.crisp_output);
+  trace.winning_output_term = output_.winningTerm(trace.crisp_output);
   return trace;
 }
 

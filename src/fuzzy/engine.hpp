@@ -4,6 +4,7 @@
 /// rule base and defuzzifier — the four FLC elements of the paper's Fig. 2.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,40 +16,68 @@
 
 namespace facs::fuzzy {
 
+/// Largest defuzzification resolution an engine accepts. An engine keeps
+/// (output terms + 2) x resolution doubles of sample-grid tables, so this
+/// caps FLC1's nine-term tables at about 9 MB; the finest grid the repo
+/// uses is 4001 samples. A sanity bound on input, not a tuning option.
+inline constexpr int kMaxResolution = 100'001;
+
 /// Operator configuration of a Mamdani controller.
 struct EngineConfig {
   TNorm conjunction = TNorm::Minimum;    ///< Combines antecedent degrees.
   TNorm implication = TNorm::Minimum;    ///< Applies firing strength to the consequent (clip).
   SNorm aggregation = SNorm::Maximum;    ///< Merges rule outputs.
   Defuzzifier defuzzifier = Defuzzifier::Centroid;
-  int resolution = 1001;                 ///< Output-universe samples for defuzzification.
+  int resolution = 1001;                 ///< Output-universe samples, in [2, kMaxResolution].
 };
 
-/// Reusable working buffers for the allocation-free inference path. One
-/// scratch serves any number of engines (each inference resizes the buffers
-/// to its own shape); reusing it across calls keeps the steady state free
-/// of heap traffic, which is what lets a serialized commit phase batch many
-/// inferences cheaply.
+/// One rule by term names: one antecedent entry per input variable, in
+/// input order ("*" or "any" leaves that input unconstrained).
+struct RuleSpec {
+  std::vector<std::string> antecedent;
+  std::string consequent;
+  double weight = 1.0;  ///< In (0, 1]; scales the firing strength.
+};
+
+/// Everything a MamdaniEngine is built from, as plain data: fill it (by
+/// hand, from FDL text or from the paper's tables) and move it into the
+/// engine's constructor.
+struct EngineSpec {
+  std::string name;
+  EngineConfig config;
+  std::vector<LinguisticVariable> inputs;
+  std::optional<LinguisticVariable> output;
+  /// Read only while the engine is built (the names resolve to term
+  /// indices), so the viewed rules need outlive just the constructor call.
+  /// A view rather than a vector lets FLC1 and FLC2 point at rule lists
+  /// built once per process: a controller build then allocates nothing per
+  /// rule name.
+  std::span<const RuleSpec> rules;
+};
+
+/// Reusable working buffers of one inference. One scratch serves any number
+/// of engines (each inference resizes the buffers to its own shape), so a
+/// warm scratch keeps the steady state free of heap traffic.
 struct InferenceScratch {
   std::vector<FuzzyVector> fuzzified;
   std::vector<double> strengths;
   std::vector<double> term_activation;
-  std::vector<double> curve_mu;  ///< Aggregated curve on the sealed grid.
+  std::vector<double> curve_mu;  ///< Aggregated curve on the sample grid.
   DefuzzScratch defuzz;
 };
 
 /// Working state of the batch inference path: the per-entry buffers plus the
 /// fuzzification memo. Unlike InferenceScratch, a BatchScratch is bound to
-/// one sealed engine at a time — the memo caches the previous entry's
-/// fuzzified degrees (and output) and is only valid against the engine that
-/// produced them, so inferBatch() re-keys and drops the memo whenever the
-/// scratch last served a different (or since-resealed) engine.
+/// one engine at a time — the memo caches the previous entry's fuzzified
+/// degrees (and output) and is only valid against the engine that produced
+/// them, so inferBatch() drops the memo whenever the scratch last served an
+/// engine with a different id.
 struct BatchScratch {
   InferenceScratch inference;
   std::vector<double> last_inputs;  ///< Previous entry's crisp inputs.
   double last_output = 0.0;
   bool warm = false;                ///< Memo holds the previous entry.
-  std::uint64_t engine_seal_id = 0; ///< Which seal() the memo belongs to.
+  std::uint64_t engine_id = 0;      ///< Which engine the memo belongs to.
 };
 
 /// Per-rule diagnostic from a traced inference.
@@ -67,28 +96,24 @@ struct InferenceTrace {
   std::size_t winning_output_term = 0;      ///< Output term closest to crisp value.
 };
 
-/// A complete single-output Mamdani controller.
+/// A complete single-output Mamdani controller, immutable once built.
 ///
-/// Construction order: add input variables, set the output variable, add
-/// rules, then call `seal()` once — it validates the structure and lets
-/// every subsequent inference skip the re-check (unsealed engines validate
-/// on each inference instead). The engine is immutable during inference and
-/// therefore safe to share across threads for concurrent `infer()` calls;
-/// seal before sharing.
+/// The constructor resolves the spec's rule names, validates the structure
+/// and precomputes the output sample-grid tables — the defuzzification
+/// x-grid, its trapezoid weights and every output term's membership at
+/// every grid point (an SoA termCount x resolution array) — so every
+/// inference runs one path with no re-check, and aggregation is flat loops
+/// over contiguous doubles. Being immutable, an engine is safe to share
+/// across threads for concurrent infer() calls.
 class MamdaniEngine {
  public:
-  explicit MamdaniEngine(std::string name, EngineConfig config = {});
-
-  /// \name Construction
-  ///@{
-  /// Appends an input variable; returns its roster index.
-  std::size_t addInput(LinguisticVariable variable);
-  void setOutput(LinguisticVariable variable);
-  /// Adds a rule by term names; wildcard entries are "*" or "any".
-  void addRule(const std::vector<std::string>& antecedent_terms,
-               const std::string& consequent_term, double weight = 1.0);
-  void addRule(Rule rule);
-  ///@}
+  /// \throws std::invalid_argument on an empty name, a resolution outside
+  ///         [2, kMaxResolution], or a rule with the wrong arity, an
+  ///         unknown term or a weight outside (0, 1];
+  ///         std::logic_error on a structural defect: no inputs, no output,
+  ///         a variable without terms, an empty rule base, or two rules
+  ///         that share an antecedent but disagree on the consequent.
+  explicit MamdaniEngine(EngineSpec spec);
 
   /// \name Introspection
   ///@{
@@ -103,40 +128,16 @@ class MamdaniEngine {
   [[nodiscard]] const std::vector<LinguisticVariable>& inputs() const noexcept {
     return inputs_;
   }
-  [[nodiscard]] const LinguisticVariable& output() const;
+  [[nodiscard]] const LinguisticVariable& output() const noexcept {
+    return output_;
+  }
   [[nodiscard]] const RuleBase& rules() const noexcept { return rules_; }
   ///@}
 
-  /// Structural validation: output present, >= 1 rule, rule base coherent.
-  /// \throws std::logic_error describing the first defect found.
-  void checkValid() const;
-
-  /// Validates once and caches the result: sealed engines skip the
-  /// per-inference checkValid() (an O(rules^2 + term-product) scan that
-  /// otherwise dominates small rule bases). Sealing also precomputes the
-  /// output sample-grid tables — the defuzzification x-grid, its trapezoid
-  /// weights, and every output term's membership at every grid point (an
-  /// SoA resolution x termCount array) — so the aggregated-curve evaluation
-  /// becomes flat loops over contiguous doubles instead of a per-sample
-  /// lambda with nested apply() dispatch. The grid is a pure function of
-  /// (universe, resolution), so table lookups reproduce degree() bit-exactly
-  /// and sealed inference stays bit-identical to the unsealed path. Any
-  /// mutation (addInput, setOutput, addRule, setConfig) unseals and drops
-  /// the tables. Seal before sharing the engine across threads; the sealed
-  /// state is written here only.
-  /// \throws std::logic_error when the engine is structurally invalid.
-  void seal();
-  [[nodiscard]] bool sealed() const noexcept { return sealed_; }
-
   /// Runs one inference; \p crisp_inputs are clamped to each variable's
-  /// universe. \throws std::invalid_argument on arity mismatch.
+  /// universe. Reuses a per-thread scratch, so a warm thread allocates
+  /// nothing. \throws std::invalid_argument on arity mismatch.
   [[nodiscard]] double infer(std::span<const double> crisp_inputs) const;
-
-  /// As infer(), reusing \p scratch for every intermediate buffer — the
-  /// batch-friendly hot path: no allocation once the scratch has warmed up,
-  /// and bit-identical to infer() (same arithmetic in the same order).
-  [[nodiscard]] double infer(std::span<const double> crisp_inputs,
-                             InferenceScratch& scratch) const;
 
   /// Batch inference: \p crisp_inputs holds the entries back to back,
   /// entry-major (entry e's inputs at [e * inputCount(), (e+1) *
@@ -147,8 +148,8 @@ class MamdaniEngine {
   /// repeat reuses the previous output outright. Both shortcuts reuse pure
   /// functions of identical inputs, so every entry is bit-identical to a
   /// standalone infer(). The memo survives across calls when the same
-  /// scratch keeps serving the same sealed engine — consecutive decide()
-  /// calls batch as well as one span does.
+  /// scratch keeps serving the same engine (or a copy of it) — consecutive
+  /// decide() calls batch as well as one span does.
   /// \throws std::invalid_argument when crisp_inputs.size() !=
   ///         outputs.size() * inputCount().
   void inferBatch(std::span<const double> crisp_inputs,
@@ -158,41 +159,26 @@ class MamdaniEngine {
   [[nodiscard]] InferenceTrace inferTraced(
       std::span<const double> crisp_inputs) const;
 
-  /// Replaces the operator configuration (used by the ablation benches).
-  void setConfig(const EngineConfig& config);
-
  private:
+  /// \throws std::invalid_argument unless \p n == inputCount().
+  void checkArity(std::size_t n) const;
+
   /// Firing strength of each rule for the fuzzified inputs, into
-  /// \p strengths (cleared first). The single implementation both the
-  /// traced and the scratch path run — one arithmetic, no drift.
+  /// \p strengths (cleared first). The single implementation every
+  /// inference path runs — one arithmetic, no drift.
   void fireInto(const std::vector<FuzzyVector>& fuzzified,
                 std::vector<double>& strengths) const;
 
-  /// Per-term aggregation of \p strengths into scratch.term_activation
-  /// (resized and zeroed here) followed by defuzzification of the
-  /// aggregated curve — the shared back half of every inference. Sealed
-  /// engines iterate the precomputed sample-grid tables; unsealed engines
-  /// evaluate the curve through the term objects. Same grid, same apply()
-  /// order, so the two are bit-identical.
+  /// Per-term aggregation of \p strengths into scratch.term_activation,
+  /// then each active term's table row folded into the aggregated curve and
+  /// the curve defuzzified — the shared back half of every inference.
   [[nodiscard]] double aggregateAndDefuzzify(
       const std::vector<double>& strengths, InferenceScratch& scratch) const;
 
-  /// checkValid() unless a prior seal() vouches for the current structure.
-  void ensureValid() const;
-
-  /// Drops the cached validation, the seal id and the precomputed tables —
-  /// every mutating entry point funnels through here.
-  void unseal();
-
-  /// Arity check + defuzzified output via the scratch buffers (shared core
-  /// of both infer() overloads).
-  [[nodiscard]] double inferInto(std::span<const double> crisp_inputs,
-                                 InferenceScratch& scratch) const;
-
-  /// Precomputed defuzzification tables of a sealed engine (empty while
-  /// unsealed). The grid and weights depend only on (universe, resolution);
-  /// term_mu is term-major — term t's row is [t * x.size(), (t+1) *
-  /// x.size()) — so the aggregation inner loop walks contiguous doubles.
+  /// Defuzzification tables built by the constructor. The grid and weights
+  /// depend only on (universe, resolution); term_mu is term-major — term
+  /// t's row is [t * x.size(), (t+1) * x.size()) — so the aggregation inner
+  /// loop walks contiguous doubles.
   struct OutputTables {
     std::vector<double> x;        ///< Sample grid over the output universe.
     std::vector<double> half_dx;  ///< Trapezoid weights, 0.5 * segment dx.
@@ -202,11 +188,12 @@ class MamdaniEngine {
   std::string name_;
   EngineConfig config_;
   std::vector<LinguisticVariable> inputs_;
-  std::vector<LinguisticVariable> output_;  ///< 0 or 1 elements.
+  LinguisticVariable output_;
   RuleBase rules_;
   OutputTables tables_;
-  bool sealed_ = false;
-  std::uint64_t seal_id_ = 0;  ///< Unique per seal(); 0 while unsealed.
+  /// Minted once per construction and kept by copies (their tables are
+  /// identical): the key of a BatchScratch memo.
+  std::uint64_t id_;
 };
 
 }  // namespace facs::fuzzy

@@ -1,7 +1,7 @@
 #include "fuzzy/fdl.hpp"
 
+#include <cmath>
 #include <istream>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -67,24 +67,10 @@ Defuzzifier parseDefuzzifier(const std::string& token, int line) {
   throw FdlError(line, "unknown defuzzifier '" + token + "'");
 }
 
-/// Incremental builder state while walking the document.
-struct Builder {
-  std::optional<std::string> engine_name;
-  EngineConfig config;
-  std::vector<LinguisticVariable> inputs;
-  std::optional<LinguisticVariable> output;
-  // Terms attach to the variable declared last.
-  enum class Attach { None, Input, Output } attach = Attach::None;
-  struct PendingRule {
-    std::vector<std::string> antecedent;
-    std::string consequent;
-    double weight = 1.0;
-  };
-  std::vector<PendingRule> rules;
-};
-
-void handleTerm(Builder& b, const std::vector<std::string>& tok, int line) {
-  if (b.attach == Builder::Attach::None) {
+/// Parses a `term` line into \p target, the variable declared last.
+void handleTerm(LinguisticVariable* target, const std::vector<std::string>& tok,
+                int line) {
+  if (target == nullptr) {
     throw FdlError(line, "'term' before any variable declaration");
   }
   if (tok.size() < 3) throw FdlError(line, "term: missing shape");
@@ -123,11 +109,7 @@ void handleTerm(Builder& b, const std::vector<std::string>& tok, int line) {
       throw FdlError(line, "unknown shape '" + shape +
                                "' (tri|trap|gauss|bell|sigmoid)");
     }
-    if (b.attach == Builder::Attach::Input) {
-      b.inputs.back().addTerm(name, std::move(mf));
-    } else {
-      b.output->addTerm(name, std::move(mf));
-    }
+    target->addTerm(name, std::move(mf));
   } catch (const FdlError&) {
     throw;
   } catch (const std::exception& e) {
@@ -135,8 +117,8 @@ void handleTerm(Builder& b, const std::vector<std::string>& tok, int line) {
   }
 }
 
-void handleRule(Builder& b, const std::vector<std::string>& tok, int line) {
-  Builder::PendingRule r;
+RuleSpec parseRule(const std::vector<std::string>& tok, int line) {
+  RuleSpec r;
   std::size_t i = 1;
   for (; i < tok.size() && tok[i] != "=>"; ++i) r.antecedent.push_back(tok[i]);
   if (i >= tok.size()) throw FdlError(line, "rule: missing '=>'");
@@ -151,13 +133,27 @@ void handleRule(Builder& b, const std::vector<std::string>& tok, int line) {
     i += 2;
   }
   if (i != tok.size()) throw FdlError(line, "rule: trailing tokens");
-  b.rules.push_back(std::move(r));
+  return r;
+}
+
+/// The `resolution` value as an int, range-checked before the cast:
+/// converting NaN or an out-of-range double to int is undefined behaviour.
+int parseResolution(const std::string& token, int line) {
+  const double r = parseNumber(token, line);
+  if (!(r >= 2.0 && r <= kMaxResolution) || r != std::floor(r)) {
+    throw FdlError(line, "resolution: expected an integer in [2, " +
+                             std::to_string(kMaxResolution) + "], got '" +
+                             token + "'");
+  }
+  return static_cast<int>(r);
 }
 
 }  // namespace
 
 MamdaniEngine parseFdl(std::string_view text) {
-  Builder b;
+  EngineSpec spec;
+  std::vector<RuleSpec> rules;
+  LinguisticVariable* attach = nullptr;  // terms attach to the last variable
   int line_no = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -174,22 +170,22 @@ MamdaniEngine parseFdl(std::string_view text) {
 
     if (kw == "engine") {
       if (tok.size() != 2) throw FdlError(line_no, "engine: expected a name");
-      b.engine_name = tok[1];
+      spec.name = tok[1];
     } else if (kw == "conjunction") {
       if (tok.size() != 2) throw FdlError(line_no, "conjunction: expected one operator");
-      b.config.conjunction = parseTNorm(tok[1], line_no);
+      spec.config.conjunction = parseTNorm(tok[1], line_no);
     } else if (kw == "implication") {
       if (tok.size() != 2) throw FdlError(line_no, "implication: expected one operator");
-      b.config.implication = parseTNorm(tok[1], line_no);
+      spec.config.implication = parseTNorm(tok[1], line_no);
     } else if (kw == "aggregation") {
       if (tok.size() != 2) throw FdlError(line_no, "aggregation: expected one operator");
-      b.config.aggregation = parseSNorm(tok[1], line_no);
+      spec.config.aggregation = parseSNorm(tok[1], line_no);
     } else if (kw == "defuzzifier") {
       if (tok.size() != 2) throw FdlError(line_no, "defuzzifier: expected one method");
-      b.config.defuzzifier = parseDefuzzifier(tok[1], line_no);
+      spec.config.defuzzifier = parseDefuzzifier(tok[1], line_no);
     } else if (kw == "resolution") {
       if (tok.size() != 2) throw FdlError(line_no, "resolution: expected an int");
-      b.config.resolution = static_cast<int>(parseNumber(tok[1], line_no));
+      spec.config.resolution = parseResolution(tok[1], line_no);
     } else if (kw == "input" || kw == "output") {
       if (tok.size() != 4) {
         throw FdlError(line_no, kw + ": expected <name> <lo> <hi>");
@@ -198,11 +194,9 @@ MamdaniEngine parseFdl(std::string_view text) {
         LinguisticVariable v{tok[1], Interval{parseNumber(tok[2], line_no),
                                               parseNumber(tok[3], line_no)}};
         if (kw == "input") {
-          b.inputs.push_back(std::move(v));
-          b.attach = Builder::Attach::Input;
+          attach = &spec.inputs.emplace_back(std::move(v));
         } else {
-          b.output = std::move(v);
-          b.attach = Builder::Attach::Output;
+          attach = &spec.output.emplace(std::move(v));
         }
       } catch (const FdlError&) {
         throw;
@@ -210,29 +204,24 @@ MamdaniEngine parseFdl(std::string_view text) {
         throw FdlError(line_no, e.what());
       }
     } else if (kw == "term") {
-      handleTerm(b, tok, line_no);
+      handleTerm(attach, tok, line_no);
     } else if (kw == "rule") {
-      handleRule(b, tok, line_no);
+      rules.push_back(parseRule(tok, line_no));
     } else {
       throw FdlError(line_no, "unknown keyword '" + kw + "'");
     }
   }
 
-  if (!b.engine_name) throw FdlError(1, "missing 'engine <name>' declaration");
-  if (!b.output) throw FdlError(1, "missing output variable");
-
-  MamdaniEngine engine{*b.engine_name, b.config};
-  for (auto& v : b.inputs) engine.addInput(std::move(v));
-  engine.setOutput(std::move(*b.output));
-  for (const auto& r : b.rules) {
-    try {
-      engine.addRule(r.antecedent, r.consequent, r.weight);
-    } catch (const std::exception& e) {
-      throw FdlError(1, std::string{"while adding rule: "} + e.what());
-    }
+  if (spec.name.empty()) {
+    throw FdlError(1, "missing 'engine <name>' declaration");
   }
-  engine.checkValid();
-  return engine;
+  if (!spec.output) throw FdlError(1, "missing output variable");
+  spec.rules = rules;
+  try {
+    return MamdaniEngine{std::move(spec)};
+  } catch (const std::exception& e) {
+    throw FdlError(1, e.what());
+  }
 }
 
 MamdaniEngine parseFdl(std::istream& in) {

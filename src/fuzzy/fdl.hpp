@@ -12,7 +12,7 @@
 ///   implication  min|prod|lukasiewicz
 ///   aggregation  max|probor|bsum
 ///   defuzzifier  centroid|bisector|mom|som|lom
-///   resolution   <int>
+///   resolution   <int>   (in [2, kMaxResolution])
 ///   input  <name> <lo> <hi>
 ///   output <name> <lo> <hi>
 ///   term <name> tri  <center> <left_width> <right_width>

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "cellular/network.hpp"
+#include "fuzzy/engine.hpp"
 #include "sim/scenario_catalog.hpp"
 
 namespace facs::cellular {
@@ -135,6 +137,35 @@ TEST(PolicyRegistry, IntegerParametersRejectFractions) {
   EXPECT_THROW((void)reg.makeFactory("scc:intervals=1.7"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("scc:radius=1.7"), PolicySpecError);
   EXPECT_THROW((void)reg.makeFactory("facs:res=100.9"), PolicySpecError);
+}
+
+TEST(PolicyRegistry, IntegerParametersRejectNonFiniteAndOutOfRange) {
+  // Checked before any double -> int cast, which would be undefined
+  // behaviour for these values.
+  const PolicyRegistry& reg = PolicyRegistry::global();
+  for (const char* spec :
+       {"facs:res=nan", "facs:res=inf", "scc:reach=1e300", "guard:-1e300"}) {
+    try {
+      (void)reg.makeFactory(spec);
+      ADD_FAILURE() << "expected PolicySpecError for " << spec;
+    } catch (const PolicySpecError& e) {
+      EXPECT_NE(std::string{e.what()}.find("expects an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)PolicySpec::parse("facs:res=nan").intFor("res", 0),
+               PolicySpecError);
+}
+
+TEST(PolicyRegistry, FacsResolutionIsBounded) {
+  const PolicyRegistry& reg = PolicyRegistry::global();
+  EXPECT_NO_THROW((void)reg.makeFactory(
+      "facs:res=" + std::to_string(fuzzy::kMaxResolution)));
+  EXPECT_THROW((void)reg.makeFactory(
+                   "facs:res=" + std::to_string(fuzzy::kMaxResolution + 1)),
+               PolicySpecError);
+  EXPECT_THROW((void)reg.makeFactory("facs:res=100000000"), PolicySpecError);
 }
 
 TEST(PolicyRegistry, SirThresholdsAreAllOrNothing) {

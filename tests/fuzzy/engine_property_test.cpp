@@ -3,6 +3,8 @@
 /// inside the output universe, behave deterministically, clamp inputs and
 /// respect dominance of fully-fired rules. Run against both FACS engines
 /// so the properties hold for the exact controllers the paper deploys.
+/// Every inference path — batch, scalar and the curve oracle that samples
+/// the output terms directly — must also agree bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "core/flc1.hpp"
 #include "core/flc2.hpp"
+#include "curve_oracle.hpp"
 
 namespace facs::fuzzy {
 namespace {
@@ -128,8 +131,7 @@ class BatchIdentityMatrix : public ::testing::TestWithParam<BatchConfig> {
 };
 
 TEST_P(BatchIdentityMatrix, Flc2BatchIsBitIdenticalToScalar) {
-  MamdaniEngine engine = core::buildFlc2(makeConfig());
-  engine.seal();
+  const MamdaniEngine engine = core::buildFlc2(makeConfig());
 
   // Commit-window shape: Cs (the shared ledger input) repeats across runs
   // of entries, exercising the fuzzification memo; Cv and R vary per entry.
@@ -150,10 +152,13 @@ TEST_P(BatchIdentityMatrix, Flc2BatchIsBitIdenticalToScalar) {
   for (std::size_t i = 0; i < entries; ++i) {
     const std::array<double, 3> in{inputs[3 * i], inputs[3 * i + 1],
                                    inputs[3 * i + 2]};
-    // Exact equality: memoized fuzzification and the sealed tables reuse
-    // pure functions of bitwise-identical inputs, so the batch path may
-    // never drift from a standalone infer().
-    EXPECT_EQ(outputs[i], engine.infer(in)) << "entry " << i;
+    // Exact equality: memoized fuzzification and the sample-grid tables
+    // reuse pure functions of bitwise-identical inputs, so the batch path
+    // may never drift from a standalone infer() — nor infer() from the
+    // oracle that evaluates the aggregated curve through the terms.
+    const double scalar = engine.infer(in);
+    EXPECT_EQ(outputs[i], scalar) << "entry " << i;
+    EXPECT_EQ(curveOracle(engine, in), scalar) << "entry " << i;
   }
 }
 

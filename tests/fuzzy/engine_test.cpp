@@ -5,12 +5,17 @@
 #include <array>
 #include <vector>
 
+#include "curve_oracle.hpp"
+
 namespace facs::fuzzy {
 namespace {
 
-/// A tiny two-input "tipper"-style controller used across engine tests.
-MamdaniEngine makeTipper(EngineConfig config = {}) {
-  MamdaniEngine e{"tipper", config};
+/// The spec of a tiny two-input "tipper"-style controller used across
+/// engine tests.
+EngineSpec tipperSpec(EngineConfig config = {}) {
+  EngineSpec spec;
+  spec.name = "tipper";
+  spec.config = config;
 
   LinguisticVariable service{"service", Interval{0.0, 10.0}};
   service.addTerm("poor", makeTriangle(0.0, 0.0, 5.0));
@@ -26,50 +31,81 @@ MamdaniEngine makeTipper(EngineConfig config = {}) {
   tip.addTerm("medium", makeTriangle(15.0, 5.0, 5.0));
   tip.addTerm("high", makeTriangle(25.0, 5.0, 5.0));
 
-  e.addInput(std::move(service));
-  e.addInput(std::move(food));
-  e.setOutput(std::move(tip));
+  spec.inputs.push_back(std::move(service));
+  spec.inputs.push_back(std::move(food));
+  spec.output = std::move(tip);
 
-  e.addRule({"poor", "*"}, "low");
-  e.addRule({"good", "*"}, "medium");
-  e.addRule({"great", "bad"}, "medium");
-  e.addRule({"great", "tasty"}, "high");
-  return e;
+  static const std::vector<RuleSpec> kRules{{{"poor", "*"}, "low"},
+                                            {{"good", "*"}, "medium"},
+                                            {{"great", "bad"}, "medium"},
+                                            {{"great", "tasty"}, "high"}};
+  spec.rules = kRules;
+  return spec;
 }
 
-TEST(Engine, ConstructionValidation) {
-  EXPECT_THROW(MamdaniEngine("", EngineConfig{}), std::invalid_argument);
-  EngineConfig bad;
-  bad.resolution = 1;
-  EXPECT_THROW(MamdaniEngine("x", bad), std::invalid_argument);
+MamdaniEngine makeTipper(EngineConfig config = {}) {
+  return MamdaniEngine{tipperSpec(config)};
 }
 
-TEST(Engine, CheckValidCatchesMissingPieces) {
-  MamdaniEngine empty{"e"};
-  EXPECT_THROW(empty.checkValid(), std::logic_error);  // no inputs
-
-  MamdaniEngine no_output{"e"};
-  LinguisticVariable v{"v", Interval{0.0, 1.0}};
-  v.addTerm("t", makeTriangle(0.5, 0.5, 0.5));
-  no_output.addInput(v);
-  EXPECT_THROW(no_output.checkValid(), std::logic_error);  // no output
-
-  MamdaniEngine no_rules{"e"};
-  no_rules.addInput(v);
-  no_rules.setOutput(v);
-  EXPECT_THROW(no_rules.checkValid(), std::logic_error);  // empty rule base
-}
-
-TEST(Engine, CheckValidCatchesConflicts) {
-  MamdaniEngine e{"e"};
+/// A one-input engine: "lo" and "hi" map to themselves.
+MamdaniEngine makeSingle() {
   LinguisticVariable v{"v", Interval{0.0, 1.0}};
   v.addTerm("lo", makeTriangle(0.0, 0.0, 1.0));
   v.addTerm("hi", makeTriangle(1.0, 1.0, 0.0));
-  e.addInput(v);
-  e.setOutput(v);
-  e.addRule({"lo"}, "lo");
-  e.addRule({"lo"}, "hi");
-  EXPECT_THROW(e.checkValid(), std::logic_error);
+  const std::vector<RuleSpec> rules{{{"lo"}, "lo"}, {{"hi"}, "hi"}};
+  return MamdaniEngine{EngineSpec{"single", {}, {v}, v, rules}};
+}
+
+TEST(Engine, ConstructionValidation) {
+  EngineSpec unnamed = tipperSpec();
+  unnamed.name.clear();
+  EXPECT_THROW(MamdaniEngine{std::move(unnamed)}, std::invalid_argument);
+
+  for (int resolution : {1, kMaxResolution + 1}) {
+    EngineConfig bad;
+    bad.resolution = resolution;
+    EXPECT_THROW(MamdaniEngine{tipperSpec(bad)}, std::invalid_argument)
+        << resolution;
+  }
+  EngineConfig finest;
+  finest.resolution = kMaxResolution;
+  EXPECT_EQ(MamdaniEngine{tipperSpec(finest)}.config().resolution,
+            kMaxResolution);
+
+  // Rule names resolve at construction.
+  for (const RuleSpec& bad : {RuleSpec{{"poor", "soggy"}, "low"},
+                              RuleSpec{{"poor"}, "low"},
+                              RuleSpec{{"poor", "bad"}, "low", 1.5}}) {
+    EngineSpec spec = tipperSpec();
+    std::vector<RuleSpec> rules{spec.rules.begin(), spec.rules.end()};
+    rules.push_back(bad);
+    spec.rules = rules;
+    EXPECT_THROW(MamdaniEngine{std::move(spec)}, std::invalid_argument)
+        << bad.consequent;
+  }
+}
+
+TEST(Engine, ConstructionCatchesMissingPieces) {
+  EngineSpec spec;
+  spec.name = "e";
+  EXPECT_THROW(MamdaniEngine{spec}, std::logic_error);  // no inputs
+
+  LinguisticVariable v{"v", Interval{0.0, 1.0}};
+  v.addTerm("t", makeTriangle(0.5, 0.5, 0.5));
+  spec.inputs.push_back(v);
+  EXPECT_THROW(MamdaniEngine{spec}, std::logic_error);  // no output
+
+  spec.output = v;
+  EXPECT_THROW(MamdaniEngine{spec}, std::logic_error);  // empty rule base
+}
+
+TEST(Engine, ConstructionCatchesConflicts) {
+  LinguisticVariable v{"v", Interval{0.0, 1.0}};
+  v.addTerm("lo", makeTriangle(0.0, 0.0, 1.0));
+  v.addTerm("hi", makeTriangle(1.0, 1.0, 0.0));
+  const std::vector<RuleSpec> rules{{{"lo"}, "lo"}, {{"lo"}, "hi"}};
+  EXPECT_THROW((MamdaniEngine{EngineSpec{"e", {}, {v}, v, rules}}),
+               std::logic_error);
 }
 
 TEST(Engine, InferArityMismatchThrows) {
@@ -139,16 +175,13 @@ TEST(Engine, TraceReportsActivationsAndWinner) {
 }
 
 TEST(Engine, RuleWeightScalesInfluence) {
-  MamdaniEngine weighted = makeTipper();
-  // Re-add the high rule with a tiny weight via a fresh engine.
-  MamdaniEngine e{"tipper2"};
+  // The same rule base with the high rule at a tiny weight.
+  EngineSpec spec = tipperSpec();
+  std::vector<RuleSpec> rules{spec.rules.begin(), spec.rules.end()};
+  rules.back().weight = 0.1;
+  spec.rules = rules;
+  const MamdaniEngine e{std::move(spec)};
   const MamdaniEngine base = makeTipper();
-  for (const auto& v : base.inputs()) e.addInput(v);
-  e.setOutput(base.output());
-  e.addRule({"poor", "*"}, "low");
-  e.addRule({"good", "*"}, "medium");
-  e.addRule({"great", "bad"}, "medium");
-  e.addRule({"great", "tasty"}, "high", 0.1);
 
   const std::array<double, 2> in{7.5, 10.0};
   EXPECT_LT(e.infer(in), base.infer(in));
@@ -170,20 +203,16 @@ TEST(Engine, ProductOperatorsDifferButAgreeOnDominantRule) {
   EXPECT_NE(scaled.infer(mixed), clipped.infer(mixed));
 }
 
-TEST(Engine, SetConfigSwitchesDefuzzifier) {
-  MamdaniEngine e = makeTipper();
+TEST(Engine, SpecDefuzzifierSelectsMethod) {
+  // Two engines from specs that differ only in the defuzzifier.
+  EngineConfig lom_cfg;
+  lom_cfg.defuzzifier = Defuzzifier::LargestOfMax;
+  const MamdaniEngine centroid = makeTipper();
+  const MamdaniEngine lom = makeTipper(lom_cfg);
+
   const std::array<double, 2> in{7.5, 10.0};
-  const double centroid = e.infer(in);
-
-  EngineConfig cfg = e.config();
-  cfg.defuzzifier = Defuzzifier::LargestOfMax;
-  e.setConfig(cfg);
-  const double lom = e.infer(in);
-  EXPECT_GT(lom, centroid);  // LOM rides the rightmost maximizing plateau
-
-  EngineConfig bad = cfg;
-  bad.resolution = 0;
-  EXPECT_THROW(e.setConfig(bad), std::invalid_argument);
+  // LOM rides the rightmost maximizing plateau.
+  EXPECT_GT(lom.infer(in), centroid.infer(in));
 }
 
 TEST(Engine, OutputAlwaysWithinUniverse) {
@@ -198,84 +227,53 @@ TEST(Engine, OutputAlwaysWithinUniverse) {
   }
 }
 
-TEST(Engine, SealValidatesOnceAndMutationUnseals) {
-  MamdaniEngine e = makeTipper();
-  EXPECT_FALSE(e.sealed());
-  e.seal();
-  EXPECT_TRUE(e.sealed());
-  // Any structural mutation drops the cached validation.
-  e.setConfig(e.config());
-  EXPECT_FALSE(e.sealed());
-  e.seal();
-  e.addRule({"poor", "bad"}, "low");
-  EXPECT_FALSE(e.sealed());
-
-  // Sealing an invalid engine reports the defect instead of caching it.
-  MamdaniEngine empty{"e"};
-  EXPECT_THROW(empty.seal(), std::logic_error);
-  EXPECT_FALSE(empty.sealed());
-}
-
 TEST(Engine, ScratchInferenceIsBitIdenticalToTracedPath) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
-  InferenceScratch scratch;
+  const MamdaniEngine e = makeTipper();
   for (double s = 0.0; s <= 10.0; s += 0.5) {
     for (double f = 0.0; f <= 10.0; f += 0.5) {
       const std::array<double, 2> in{s, f};
       const double traced = e.inferTraced(in).crisp_output;
-      // Exact equality on purpose: the scratch path must run the same
-      // arithmetic in the same order, or sealed/unsealed (and batched /
-      // unbatched) consumers would diverge.
+      // Exact equality on purpose: infer() on its per-thread scratch must
+      // run the same arithmetic in the same order, or batched and
+      // unbatched consumers would diverge.
       EXPECT_EQ(e.infer(in), traced) << "s=" << s << " f=" << f;
-      EXPECT_EQ(e.infer(in, scratch), traced) << "s=" << s << " f=" << f;
       // A warm (dirty) scratch must not leak state into the next call.
-      EXPECT_EQ(e.infer(in, scratch), traced) << "s=" << s << " f=" << f;
+      EXPECT_EQ(e.infer(in), traced) << "s=" << s << " f=" << f;
     }
   }
 }
 
 TEST(Engine, OneScratchServesEnginesOfDifferentShape) {
-  MamdaniEngine tipper = makeTipper();
-  MamdaniEngine single{"single"};
-  LinguisticVariable v{"v", Interval{0.0, 1.0}};
-  v.addTerm("lo", makeTriangle(0.0, 0.0, 1.0));
-  v.addTerm("hi", makeTriangle(1.0, 1.0, 0.0));
-  single.addInput(v);
-  single.setOutput(v);
-  single.addRule({"lo"}, "lo");
-  single.addRule({"hi"}, "hi");
+  const MamdaniEngine tipper = makeTipper();
+  const MamdaniEngine single = makeSingle();
 
-  InferenceScratch scratch;
   const std::array<double, 2> two{9.0, 9.0};
   const std::array<double, 1> one{0.25};
-  const double a = tipper.infer(two, scratch);
-  const double b = single.infer(one, scratch);
-  // Interleave the shapes: the scratch resizes per call, never bleeds.
-  EXPECT_EQ(tipper.infer(two, scratch), a);
-  EXPECT_EQ(single.infer(one, scratch), b);
+  const double a = tipper.infer(two);
+  const double b = single.infer(one);
+  // Interleave the shapes on the one per-thread scratch: it resizes per
+  // call, never bleeds.
+  EXPECT_EQ(tipper.infer(two), a);
+  EXPECT_EQ(single.infer(one), b);
+  EXPECT_EQ(tipper.inferTraced(two).crisp_output, a);
+  EXPECT_EQ(single.inferTraced(one).crisp_output, b);
 }
 
-TEST(Engine, SealedTablesMatchUnsealedPathBitExactly) {
-  // One engine runs the precomputed sample-grid tables, the other evaluates
-  // the aggregated curve through the term objects. The seal must be a pure
+TEST(Engine, TablesMatchCurveOracleBitExactly) {
+  // The engine folds precomputed sample-grid rows; the oracle evaluates the
+  // aggregated curve through the term objects. The tables must be a pure
   // representation change: same grid, same apply() order, same bits.
-  MamdaniEngine sealed_engine = makeTipper();
-  sealed_engine.seal();
-  MamdaniEngine unsealed_engine = makeTipper();
-  ASSERT_FALSE(unsealed_engine.sealed());
+  const MamdaniEngine e = makeTipper();
   for (double s = 0.0; s <= 10.0; s += 0.25) {
     for (double f : {0.0, 1.5, 3.0, 6.5, 10.0}) {
       const std::array<double, 2> in{s, f};
-      EXPECT_EQ(sealed_engine.infer(in), unsealed_engine.infer(in))
-          << "s=" << s << " f=" << f;
+      EXPECT_EQ(e.infer(in), curveOracle(e, in)) << "s=" << s << " f=" << f;
     }
   }
 }
 
 TEST(Engine, InferBatchMatchesScalarBitExactly) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
+  const MamdaniEngine e = makeTipper();
 
   std::vector<double> inputs;
   for (double s = 0.0; s <= 10.0; s += 0.5) {
@@ -295,8 +293,7 @@ TEST(Engine, InferBatchMatchesScalarBitExactly) {
 }
 
 TEST(Engine, InferBatchMemoHandlesRepeatsAndMidBatchChanges) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
+  const MamdaniEngine e = makeTipper();
 
   // Entries repeat the shared input, repeat fully, then change it mid-batch
   // — the memo must reuse only what is bitwise unchanged.
@@ -325,8 +322,7 @@ TEST(Engine, InferBatchMemoHandlesRepeatsAndMidBatchChanges) {
 }
 
 TEST(Engine, InferBatchChecksArity) {
-  MamdaniEngine e = makeTipper();
-  e.seal();
+  const MamdaniEngine e = makeTipper();
   BatchScratch scratch;
   const std::vector<double> three{1.0, 2.0, 3.0};  // not a multiple of 2
   std::vector<double> one(1);
@@ -335,22 +331,13 @@ TEST(Engine, InferBatchChecksArity) {
   EXPECT_THROW(e.inferBatch(three, two, scratch), std::invalid_argument);
 }
 
-TEST(Engine, BatchScratchRekeysAcrossEnginesAndReseals) {
-  MamdaniEngine tipper = makeTipper();
-  tipper.seal();
-  MamdaniEngine single{"single"};
-  LinguisticVariable v{"v", Interval{0.0, 1.0}};
-  v.addTerm("lo", makeTriangle(0.0, 0.0, 1.0));
-  v.addTerm("hi", makeTriangle(1.0, 1.0, 0.0));
-  single.addInput(v);
-  single.setOutput(v);
-  single.addRule({"lo"}, "lo");
-  single.addRule({"hi"}, "hi");
-  single.seal();
+TEST(Engine, BatchScratchRekeysAcrossEnginesAndCopies) {
+  const MamdaniEngine tipper = makeTipper();
+  const MamdaniEngine single = makeSingle();
 
   // One scratch ping-pongs between engines of different arity: the memo is
-  // keyed to the seal id, so a stale memo from the other engine must never
-  // be consulted.
+  // keyed to the engine id, so a stale memo from the other engine must
+  // never be consulted.
   BatchScratch scratch;
   const std::vector<double> two{3.0, 4.0};
   const std::vector<double> one{0.25};
@@ -362,22 +349,31 @@ TEST(Engine, BatchScratchRekeysAcrossEnginesAndReseals) {
     EXPECT_EQ(out[0], single.infer(one));
   }
 
-  // Resealing mints a fresh id: the memo from the previous seal is dropped
-  // even though the engine object is the same.
+  // A copy has identical tables and keeps the id, so it reuses the memo
+  // the original left behind.
   tipper.inferBatch(two, out, scratch);
-  tipper.setConfig(tipper.config());
-  tipper.seal();
-  tipper.inferBatch(two, out, scratch);
-  EXPECT_EQ(out[0], tipper.infer(two));
+  const std::uint64_t tipper_id = scratch.engine_id;
+  const MamdaniEngine copy{tipper};
+  copy.inferBatch(two, out, scratch);
+  EXPECT_EQ(scratch.engine_id, tipper_id);
+  EXPECT_EQ(out[0], copy.infer(two));
 
-  // Unsealed engines (seal id 0) must not persist a memo across calls.
-  MamdaniEngine fresh = makeTipper();
-  ASSERT_FALSE(fresh.sealed());
-  fresh.inferBatch(two, out, scratch);
-  EXPECT_EQ(out[0], fresh.infer(two));
-  fresh.addRule({"good", "tasty"}, "high");  // same arity, new behaviour
-  fresh.inferBatch(two, out, scratch);
-  EXPECT_EQ(out[0], fresh.infer(two));
+  // Copy-assigning a different engine of the same arity into the object
+  // changes its id: the memo is dropped, not replayed against the new
+  // rule base (the first entry repeats the memo's inputs on purpose).
+  EngineConfig prod;
+  prod.implication = TNorm::AlgebraicProduct;
+  const MamdaniEngine other = makeTipper(prod);
+  MamdaniEngine reused = makeTipper();
+  reused.inferBatch(two, out, scratch);
+  const double before = out[0];
+  reused = other;
+  const std::vector<double> batch{3.0, 4.0, 6.0, 7.0};
+  std::vector<double> outs(2);
+  reused.inferBatch(batch, outs, scratch);
+  EXPECT_NE(outs[0], before);
+  EXPECT_EQ(outs[0], reused.infer(two));
+  EXPECT_EQ(outs[1], reused.infer(std::array<double, 2>{6.0, 7.0}));
 }
 
 }  // namespace

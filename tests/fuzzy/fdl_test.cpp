@@ -126,7 +126,15 @@ INSTANTIATE_TEST_SUITE_P(
                "b tri 0 0 1\nrule a b\n",
                6},
         BadDoc{"unknown_tnorm", "conjunction nope\n", 1},
-        BadDoc{"unknown_defuzz", "defuzzifier nope\n", 1}),
+        BadDoc{"unknown_defuzz", "defuzzifier nope\n", 1},
+        // The resolution is an integer in [2, kMaxResolution], checked on
+        // its own line before any cast or table build.
+        BadDoc{"resolution_nan", "engine e\nresolution nan\n", 2},
+        BadDoc{"resolution_inf", "engine e\nresolution inf\n", 2},
+        BadDoc{"resolution_fraction", "engine e\nresolution 2.7\n", 2},
+        BadDoc{"resolution_too_small", "engine e\nresolution 1\n", 2},
+        BadDoc{"resolution_too_large", "engine e\n\nresolution 100002\n", 3},
+        BadDoc{"resolution_huge", "engine e\nresolution 1e300\n", 2}),
     [](const auto& param_info) { return std::string{param_info.param.name}; });
 
 TEST(Fdl, MissingEngineOrOutputFails) {
@@ -144,6 +152,25 @@ output y 0 1
   term lo tri 0 0 1
 rule nope => lo
 )"),
+               FdlError);
+}
+
+TEST(Fdl, StructuralDefectsRaiseFdlError) {
+  // Conflicting rules and an empty rule base are caught when the parsed
+  // spec becomes an engine, and still surface as FdlError.
+  EXPECT_THROW((void)parseFdl(R"(
+engine e
+input x 0 1
+  term lo tri 0 0 1
+output y 0 1
+  term lo tri 0 0 1
+  term hi tri 1 1 0
+rule lo => lo
+rule lo => hi
+)"),
+               FdlError);
+  EXPECT_THROW((void)parseFdl("engine e\ninput x 0 1\nterm lo tri 0 0 1\n"
+                              "output y 0 1\nterm lo tri 0 0 1\n"),
                FdlError);
 }
 

@@ -212,6 +212,8 @@ TEST(ScenarioFile, BadPolicySpecNamesFileAndLine) {
               "policy 'guard'");
   expectError("[scenario]\nname = \"x\"\npolicy = \"warp-speed\"\n", 3,
               "unknown policy 'warp-speed'");
+  expectError("[scenario]\nname = \"x\"\n\npolicy = \"facs:res=nan\"\n", 4,
+              "expects an integer");
 }
 
 TEST(ScenarioFile, DuplicateCellIdIsAnError) {

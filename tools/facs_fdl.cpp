@@ -27,7 +27,6 @@ fuzzy::MamdaniEngine load(const std::string& path) {
 
 int check(const std::string& path) {
   const fuzzy::MamdaniEngine engine = load(path);
-  engine.checkValid();
   const fuzzy::RuleBaseReport report =
       engine.rules().validate(engine.inputs(), engine.output());
   std::cout << "engine '" << engine.name() << "': " << engine.inputCount()
