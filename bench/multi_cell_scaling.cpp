@@ -8,9 +8,9 @@
 /// metrics bit for bit — any divergence is reported and fails the process.
 ///
 ///   multi_cell_scaling [--quick] [--requests N] [--shards LIST]
-///                      [--groups LIST] [--policy SPEC] [--no-precompute]
-///                      [--hotspot] [--partition NAME] [--repartition S]
-///                      [--csv] [--json]
+///                      [--groups LIST] [--policy SPEC] [--hotspot]
+///                      [--partition NAME] [--repartition S] [--csv]
+///                      [--json]
 ///
 /// --hotspot skews the workload stadium-burst-style: the centre cell
 /// spawns 12x the base rate with a video-heavy mix and the inner ring 2x —
@@ -22,10 +22,7 @@
 /// events and wall seconds plus their max/mean imbalance ratios; --json
 /// carries the full per-lane arrays per (partition, groups, shards) point.
 ///
-/// --quick shrinks the run for CI smoke jobs. --no-precompute keeps
-/// snapshot-only policy work (FACS FLC1) on the serialized commit path, so
-/// the before/after serial-fraction win of the hoist is measurable:
-/// compare commit% with the flag against without. Speedups depend on the
+/// --quick shrinks the run for CI smoke jobs. Speedups depend on the
 /// machine: with one core the study only demonstrates that the barrier
 /// machinery costs little; the >1 numbers need real parallel hardware.
 /// The default policy is guard:8 — an O(1) decide keeps the serialized
@@ -160,7 +157,6 @@ int main(int argc, char** argv) {
   bool hotspot = false;
   bool csv = false;
   bool json = false;
-  bool precompute = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       requests = 600;
@@ -179,8 +175,6 @@ int main(int argc, char** argv) {
       repartition_s = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--hotspot") == 0) {
       hotspot = true;
-    } else if (std::strcmp(argv[i], "--no-precompute") == 0) {
-      precompute = false;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -189,7 +183,7 @@ int main(int argc, char** argv) {
       std::cerr << "usage: multi_cell_scaling [--quick] [--requests N] "
                    "[--shards LIST] [--groups LIST] [--policy SPEC] "
                    "[--hotspot] [--partition contiguous|weighted|both] "
-                   "[--repartition S] [--no-precompute] [--csv] [--json]\n";
+                   "[--repartition S] [--csv] [--json]\n";
       return 2;
     }
   }
@@ -213,7 +207,6 @@ int main(int argc, char** argv) {
   }
 
   sim::SimulationConfig base_cfg = studyConfig(requests);
-  base_cfg.precompute_cv = precompute;
   if (hotspot) applyHotspot(base_cfg);
   const auto factory = bench::policy(policy_spec);
 
@@ -226,9 +219,8 @@ int main(int argc, char** argv) {
   } else if (table) {
     std::cout << "Sharded engine scaling: " << requests
               << " GPS-tracked requests over 19 cells (policy "
-              << policy_spec << ", precompute "
-              << (precompute ? "on" : "off")
-              << (hotspot ? ", hotspot skew" : "") << ")\n\n"
+              << policy_spec << (hotspot ? ", hotspot skew" : "")
+              << ")\n\n"
               << std::left << std::setw(12) << "partition" << std::setw(8)
               << "groups" << std::setw(8) << "shards" << std::setw(12)
               << "seconds" << std::setw(12) << "events" << std::setw(14)
@@ -350,8 +342,7 @@ int main(int argc, char** argv) {
     // lane-balance audit and bench_report both consume.
     std::cout << "{\n  \"policy\": \"" << policy_spec << "\",\n"
               << "  \"requests\": " << requests << ",\n"
-              << "  \"hotspot\": " << (hotspot ? "true" : "false") << ",\n"
-              << "  \"precompute\": " << (precompute ? "true" : "false")
+              << "  \"hotspot\": " << (hotspot ? "true" : "false")
               << ",\n  \"deterministic\": "
               << (deterministic ? "true" : "false") << ",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < samples.size(); ++i) {

@@ -10,26 +10,6 @@ double linearToDb(double linear) noexcept { return 10.0 * std::log10(linear); }
 double dbmToMw(double dbm) noexcept { return dbToLinear(dbm); }
 double mwToDbm(double mw) noexcept { return linearToDb(mw); }
 
-double pathLossDb(const PathLossParams& params, double d_km) {
-  if (d_km < 0.0) {
-    throw std::invalid_argument("path-loss distance must be >= 0");
-  }
-  const double d = std::max(d_km, params.min_distance_km);
-  return params.reference_loss_db +
-         10.0 * params.exponent *
-             std::log10(d / params.reference_distance_km);
-}
-
-double shadowedPathLossDb(const PathLossParams& params, double d_km,
-                          sim::Rng& rng) {
-  double loss = pathLossDb(params, d_km);
-  if (params.shadowing_sigma_db > 0.0) {
-    std::normal_distribution<double> shadow{0.0, params.shadowing_sigma_db};
-    loss += shadow(rng);
-  }
-  return loss;
-}
-
 RadioModel::RadioModel(const HexNetwork& network, Config config)
     : network_{network}, config_{config} {
   if (config_.activity_factor < 0.0 || config_.activity_factor > 1.0) {
@@ -98,51 +78,21 @@ void RadioModel::buildTables() {
       static_cast<std::uint32_t>(interferer_ids_.size());
 }
 
-double RadioModel::linkPowerMw(Vec2 position, CellId cell,
-                               double extra_loss_db) const {
+double RadioModel::linkPowerMw(Vec2 position, CellId cell) const {
   const double dx = position.x - network_.cell(cell).center.x;
   const double dy = position.y - network_.cell(cell).center.y;
   const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
-  const double base = gain_const_mw_ * std::pow(d2, neg_half_exponent_);
-  return extra_loss_db == 0.0 ? base : base * dbToLinear(-extra_loss_db);
+  return gain_const_mw_ * std::pow(d2, neg_half_exponent_);
 }
 
 double RadioModel::receivedPowerDbm(Vec2 position, CellId cell) const {
-  return mwToDbm(linkPowerMw(position, cell, 0.0));
+  return mwToDbm(linkPowerMw(position, cell));
 }
 
 double RadioModel::sinrDb(Vec2 position, CellId serving_cell) const {
   return sinrDbWith(position, serving_cell, [this](CellId cell) {
     return network_.station(cell).utilization();
   });
-}
-
-double RadioModel::shadowedSinrDb(Vec2 position, CellId serving_cell,
-                                  sim::Rng& rng) const {
-  std::normal_distribution<double> shadow{
-      0.0, config_.path_loss.shadowing_sigma_db};
-  const bool shadowing = config_.path_loss.shadowing_sigma_db > 0.0;
-  const double serving_extra = shadowing ? shadow(rng) : 0.0;
-  const double signal_mw = linkPowerMw(position, serving_cell, serving_extra);
-  double interference_mw = noise_mw_;
-  const std::uint32_t begin = interferer_offsets_[serving_cell];
-  const std::uint32_t end = interferer_offsets_[serving_cell + 1];
-  for (std::uint32_t k = begin; k != end; ++k) {
-    const CellId cell = interferer_ids_[k];
-    const double activity =
-        config_.activity_factor * network_.station(cell).utilization();
-    if (activity <= 0.0) continue;
-    // One shadowing draw per ACTIVE footprint link, in ascending id order —
-    // the draw sequence is part of the model's deterministic contract.
-    const double extra = shadowing ? shadow(rng) : 0.0;
-    const double dx = position.x - station_x_[k];
-    const double dy = position.y - station_y_[k];
-    const double d2 = std::max(dx * dx + dy * dy, min_distance_sq_);
-    double link_mw = gain_const_mw_ * std::pow(d2, neg_half_exponent_);
-    if (extra != 0.0) link_mw *= dbToLinear(-extra);
-    interference_mw += activity * link_mw;
-  }
-  return linearToDbFast(signal_mw / interference_mw);
 }
 
 }  // namespace facs::cellular

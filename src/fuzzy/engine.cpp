@@ -121,19 +121,25 @@ MamdaniEngine::MamdaniEngine(EngineSpec spec)
       inputs_{std::move(spec.inputs)},
       output_{std::move(*spec.output)},
       id_{g_engine_counter.fetch_add(1, std::memory_order_relaxed) + 1} {
-  for (const RuleSpec& r : spec.rules) {
-    rules_.add(inputs_, output_, r.antecedent, r.consequent, r.weight);
+  for (std::size_t i = 0; i < spec.rules.size(); ++i) {
+    const RuleSpec& r = spec.rules[i];
+    try {
+      rules_.add(inputs_, output_, r.antecedent, r.consequent, r.weight);
+    } catch (const std::invalid_argument& e) {
+      throw RuleError{i, "engine '" + name_ + "': rule " + std::to_string(i) +
+                             ": " + e.what()};
+    }
   }
   // Name resolution already rejected malformed rules; conflicts remain.
   // Uncovered combinations are allowed (sparse rule bases are legal); the
   // FACS controllers assert completeness separately in their tests.
-  const RuleBaseReport report = rules_.validate(inputs_, output_);
+  const RuleBaseReport report = rules_.validate(inputs_);
   if (!report.conflicts.empty()) {
+    const auto [first, second] = report.conflicts.front();
     std::ostringstream os;
-    os << "engine '" << name_ << "': rules " << report.conflicts.front().first
-       << " and " << report.conflicts.front().second
+    os << "engine '" << name_ << "': rules " << first << " and " << second
        << " share an antecedent but disagree on the consequent";
-    throw std::logic_error(os.str());
+    throw RuleError{second, os.str()};
   }
 
   // The defuzzification tables on the fixed sample grid. The grid formula

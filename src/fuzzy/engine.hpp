@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,21 @@ struct InferenceTrace {
   std::size_t winning_output_term = 0;      ///< Output term closest to crisp value.
 };
 
+/// A rule of an EngineSpec the engine cannot accept: the wrong arity, an
+/// unknown term name, a weight outside (0, 1], or a consequent that
+/// conflicts with an earlier rule of the same antecedent. rule() indexes
+/// EngineSpec::rules (the later rule of a conflicting pair), so a front end
+/// such as the FDL parser can point at the rule's own source line.
+class RuleError : public std::invalid_argument {
+ public:
+  RuleError(std::size_t rule, const std::string& message)
+      : std::invalid_argument{message}, rule_{rule} {}
+  [[nodiscard]] std::size_t rule() const noexcept { return rule_; }
+
+ private:
+  std::size_t rule_;
+};
+
 /// A complete single-output Mamdani controller, immutable once built.
 ///
 /// The constructor resolves the spec's rule names, validates the structure
@@ -107,12 +123,13 @@ struct InferenceTrace {
 /// across threads for concurrent infer() calls.
 class MamdaniEngine {
  public:
-  /// \throws std::invalid_argument on an empty name, a resolution outside
-  ///         [2, kMaxResolution], or a rule with the wrong arity, an
-  ///         unknown term or a weight outside (0, 1];
+  /// \throws std::invalid_argument on an empty name or a resolution
+  ///         outside [2, kMaxResolution];
+  ///         RuleError on a rule with the wrong arity, an unknown term or a
+  ///         weight outside (0, 1], or on two rules that share an
+  ///         antecedent but disagree on the consequent;
   ///         std::logic_error on a structural defect: no inputs, no output,
-  ///         a variable without terms, an empty rule base, or two rules
-  ///         that share an antecedent but disagree on the consequent.
+  ///         a variable without terms or an empty rule base.
   explicit MamdaniEngine(EngineSpec spec);
 
   /// \name Introspection

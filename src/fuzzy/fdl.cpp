@@ -153,6 +153,7 @@ int parseResolution(const std::string& token, int line) {
 MamdaniEngine parseFdl(std::string_view text) {
   EngineSpec spec;
   std::vector<RuleSpec> rules;
+  std::vector<int> rule_lines;  // source line of each rule, for RuleError
   LinguisticVariable* attach = nullptr;  // terms attach to the last variable
   int line_no = 0;
   std::size_t pos = 0;
@@ -207,6 +208,7 @@ MamdaniEngine parseFdl(std::string_view text) {
       handleTerm(attach, tok, line_no);
     } else if (kw == "rule") {
       rules.push_back(parseRule(tok, line_no));
+      rule_lines.push_back(line_no);
     } else {
       throw FdlError(line_no, "unknown keyword '" + kw + "'");
     }
@@ -219,6 +221,8 @@ MamdaniEngine parseFdl(std::string_view text) {
   spec.rules = rules;
   try {
     return MamdaniEngine{std::move(spec)};
+  } catch (const RuleError& e) {
+    throw FdlError(rule_lines.at(e.rule()), e.what());
   } catch (const std::exception& e) {
     throw FdlError(1, e.what());
   }

@@ -79,26 +79,8 @@ bool matches(const Rule& r, const std::vector<std::size_t>& combo) {
 }  // namespace
 
 RuleBaseReport RuleBase::validate(
-    const std::vector<LinguisticVariable>& inputs,
-    const LinguisticVariable& output) const {
+    const std::vector<LinguisticVariable>& inputs) const {
   RuleBaseReport report;
-
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    const Rule& r = rules_[i];
-    bool bad = r.antecedent.size() != inputs.size() ||
-               r.consequent >= output.termCount() || !(r.weight > 0.0) ||
-               r.weight > 1.0;
-    if (!bad) {
-      for (std::size_t v = 0; v < inputs.size(); ++v) {
-        if (r.antecedent[v] != kAnyTerm &&
-            r.antecedent[v] >= inputs[v].termCount()) {
-          bad = true;
-          break;
-        }
-      }
-    }
-    if (bad) report.malformed.push_back(i);
-  }
 
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     for (std::size_t j = i + 1; j < rules_.size(); ++j) {
@@ -109,7 +91,7 @@ RuleBaseReport RuleBase::validate(
     }
   }
 
-  if (!inputs.empty() && report.malformed.empty()) {
+  if (!inputs.empty()) {
     forEachCombination(inputs, [&](const std::vector<std::size_t>& combo) {
       for (const Rule& r : rules_) {
         if (matches(r, combo)) return;
@@ -123,8 +105,7 @@ RuleBaseReport RuleBase::validate(
     });
   }
 
-  report.ok = report.uncovered.empty() && report.conflicts.empty() &&
-              report.malformed.empty();
+  report.ok = report.uncovered.empty() && report.conflicts.empty();
   return report;
 }
 

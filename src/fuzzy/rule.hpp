@@ -40,20 +40,17 @@ struct RuleBaseReport {
   /// Pairs of rule indices with identical antecedents but different
   /// consequents (ambiguous control actions).
   std::vector<std::pair<std::size_t, std::size_t>> conflicts;
-  /// Rules with out-of-range term indices or malformed weights.
-  std::vector<std::size_t> malformed;
 };
 
 /// An ordered collection of rules tied to a roster of input variables and
 /// one output variable (both owned by the engine; the rule base stores only
-/// indices, keeping it cheap to copy).
+/// indices, keeping it cheap to copy). Rules enter only by name, so every
+/// stored index is in range and every weight in (0, 1].
 class RuleBase {
  public:
   RuleBase() = default;
 
-  void add(Rule rule) { rules_.push_back(std::move(rule)); }
-
-  /// Convenience textual add: term names resolved against the variables.
+  /// Adds a rule by term names, resolved against the variables.
   /// Use "*" (or "any") as a wildcard antecedent entry.
   /// \throws std::invalid_argument on unknown names or arity mismatch.
   void add(const std::vector<LinguisticVariable>& inputs,
@@ -69,10 +66,9 @@ class RuleBase {
   }
 
   /// Exhaustive structural validation against the given variables:
-  /// completeness over the cartesian product, conflicts and malformed rules.
+  /// completeness over the cartesian product and conflicts.
   [[nodiscard]] RuleBaseReport validate(
-      const std::vector<LinguisticVariable>& inputs,
-      const LinguisticVariable& output) const;
+      const std::vector<LinguisticVariable>& inputs) const;
 
  private:
   std::vector<Rule> rules_;

@@ -65,7 +65,8 @@ void validateConfig(const SccConfig& config) {
 
 ShadowClusterController::ShadowClusterController(
     const cellular::HexNetwork& network, SccConfig config)
-    : network_{network}, config_{config} {
+    : network_{network}, config_{config}, partition_{network, 1},
+      stores_(1), deferred_(1), migrations_(1) {
   validateConfig(config_);
   demand_.assign(network_.cellCount() *
                      static_cast<std::size_t>(config_.intervals),
@@ -110,33 +111,20 @@ double ShadowClusterController::contribution(const Shadow& shadow, CellId cell,
 }
 
 void ShadowClusterController::applyShadow(const Shadow& shadow, double sign) {
-  // Group-local accounting: a bounded reach confines the write set to the
-  // shadow's anchor neighbourhood (flat in the network size); reach = 0
-  // visits every cell — the original global accumulation.
-  for (const cellular::CellId cell : footprint(shadow.anchor)) {
-    for (int k = 0; k < config_.intervals; ++k) {
-      demand_[static_cast<std::size_t>(cell) *
-                  static_cast<std::size_t>(config_.intervals) +
-              static_cast<std::size_t>(k)] +=
-          sign * contribution(shadow, cell, k);
-    }
-  }
-  ++updates_since_rebuild_;
-}
-
-void ShadowClusterController::applyShadowGrouped(const Shadow& shadow,
-                                                 double sign) {
   // The acting group is the shadow's anchor group — the lane (or drain)
   // that owns stores_[g] and therefore this call's commit. Footprint rows
   // the partition maps to the same group are the lane's own: write live.
   // Rows across a boundary belong to another lane's cells; deferring them
   // into the acting group's buffer keeps every demand_ row single-writer
   // during the parallel phase, and the barrier folds the buffers in
-  // canonical order so the float sums stay shard-invariant.
-  const int g = partition_->groupOf(shadow.anchor);
+  // canonical order so the float sums stay shard-invariant. A bounded
+  // reach confines the write set to the anchor's neighbourhood (flat in
+  // the network size); reach = 0 visits every cell — the original global
+  // accumulation, always at one group.
+  const int g = partition_.groupOf(shadow.anchor);
   std::vector<DemandDelta>& defer = deferred_[static_cast<std::size_t>(g)];
   for (const cellular::CellId cell : footprint(shadow.anchor)) {
-    const bool own_row = partition_->groupOf(cell) == g;
+    const bool own_row = partition_.groupOf(cell) == g;
     for (int k = 0; k < config_.intervals; ++k) {
       const double value = sign * contribution(shadow, cell, k);
       if (own_row) {
@@ -157,39 +145,6 @@ void ShadowClusterController::applyShadowGrouped(const Shadow& shadow,
 
 void ShadowClusterController::maybeRebuild() {
   if (config_.rebuild_every <= 0) return;
-  if (updates_since_rebuild_ <
-      static_cast<std::uint64_t>(config_.rebuild_every)) {
-    return;
-  }
-  updates_since_rebuild_ = 0;
-
-  // Canonical call order keeps the rebuilt sums independent of the hash
-  // map's bucket history, so a rebuilt controller is reproducible from its
-  // live shadow set alone.
-  std::vector<cellular::CallId> ids;
-  ids.reserve(shadows_.size());
-  for (const auto& [id, shadow] : shadows_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  std::fill(demand_.begin(), demand_.end(), 0.0);
-  for (const cellular::CallId id : ids) {
-    const Shadow& shadow = shadows_.find(id)->second;
-    // The rebuild honours the same footprint as the incremental updates,
-    // so it reconstructs exactly what they accumulated (minus the float
-    // residue it exists to cancel).
-    for (const cellular::CellId cell : footprint(shadow.anchor)) {
-      for (int k = 0; k < config_.intervals; ++k) {
-        demand_[static_cast<std::size_t>(cell) *
-                    static_cast<std::size_t>(config_.intervals) +
-                static_cast<std::size_t>(k)] +=
-            contribution(shadow, cell, k);
-      }
-    }
-  }
-}
-
-void ShadowClusterController::maybeRebuildGrouped() {
-  if (config_.rebuild_every <= 0) return;
   for (std::size_t g = 0; g < stores_.size(); ++g) {
     GroupStore& due = stores_[g];
     if (due.updates_since_rebuild <
@@ -199,11 +154,12 @@ void ShadowClusterController::maybeRebuildGrouped() {
     due.updates_since_rebuild = 0;
     // Zero exactly the rows this group owns, then re-accumulate every
     // tracked shadow's contribution to those rows (stores in index order,
-    // canonical call order within each) — the same sums the incremental
-    // updates built there, minus the float residue. Other groups' rows are
-    // untouched: their residue ages on their own counters.
+    // canonical call order within each, so the sums depend on the live
+    // shadow set alone, not on hash-map bucket history) — the same sums
+    // the incremental updates built there, minus the float residue. Other
+    // groups' rows are untouched: their residue ages on their own counters.
     for (const cellular::CellId cell : all_cells_) {
-      if (partition_->groupOf(cell) != static_cast<int>(g)) continue;
+      if (partition_.groupOf(cell) != static_cast<int>(g)) continue;
       for (int k = 0; k < config_.intervals; ++k) {
         demand_[demandIndex(cell, k)] = 0.0;
       }
@@ -217,7 +173,7 @@ void ShadowClusterController::maybeRebuildGrouped() {
       for (const cellular::CallId id : ids) {
         const Shadow& shadow = store.shadows.find(id)->second;
         for (const cellular::CellId cell : footprint(shadow.anchor)) {
-          if (partition_->groupOf(cell) != static_cast<int>(g)) continue;
+          if (partition_.groupOf(cell) != static_cast<int>(g)) continue;
           for (int k = 0; k < config_.intervals; ++k) {
             demand_[demandIndex(cell, k)] += contribution(shadow, cell, k);
           }
@@ -277,7 +233,7 @@ AdmissionDecision ShadowClusterController::decide(
   // read the acting group's own rows live and foreign-group rows from the
   // barrier snapshot (the same visibility the engine's reservations give
   // cross-group ledger state).
-  const int g = grouped() ? partition_->groupOf(center) : -1;
+  const int g = grouped() ? partition_.groupOf(center) : -1;
   double worst_headroom = std::numeric_limits<double>::infinity();
   for (const CellId cell : clusters_[static_cast<std::size_t>(center)]) {
     const double budget =
@@ -317,78 +273,56 @@ void ShadowClusterController::onAdmitted(const CallRequest& request,
       motionFromSnapshot(request.snapshot, network_.cell(center).center);
   shadow.demand_bu = static_cast<double>(request.demand_bu);
   shadow.anchor = center;
-  if (grouped()) {
-    const int g = partition_->groupOf(center);
-    GroupStore& store = stores_[static_cast<std::size_t>(g)];
-    const auto [it, inserted] = store.shadows.try_emplace(request.call, shadow);
-    if (!inserted) {
-      // Same-group handoff refresh: the stale shadow lives in the acting
-      // group's own store — retract it in-lane before casting the new one.
-      applyShadowGrouped(it->second, -1.0);
-      it->second = shadow;
-    } else if (request.is_handoff) {
-      // The refresh crossed a group boundary: the stale record is anchored
-      // in a foreign store this lane must not touch. Cast the new shadow
-      // now; leave a migration record so the barrier retracts and erases
-      // the old one (demand_ conserved — its contribution stays folded in
-      // until exactly then).
-      migrations_[static_cast<std::size_t>(g)].push_back({request.call, g});
-    }
-    applyShadowGrouped(shadow, +1.0);
-    return;  // grouped rebuilds run per group at the barrier
-  }
-  // Handoffs refresh the kinematics of an already-tracked call: retract
-  // the stale shadow from the accumulators before casting the new one.
-  const auto [it, inserted] = shadows_.try_emplace(request.call, shadow);
+  const int g = partition_.groupOf(center);
+  GroupStore& store = stores_[static_cast<std::size_t>(g)];
+  const auto [it, inserted] = store.shadows.try_emplace(request.call, shadow);
   if (!inserted) {
+    // Handoff refresh within the acting group's own store: retract the
+    // stale shadow in-lane before casting the new one.
     applyShadow(it->second, -1.0);
     it->second = shadow;
+  } else if (request.is_handoff && grouped()) {
+    // The refresh crossed a group boundary: the stale record is anchored
+    // in a foreign store this lane must not touch. Cast the new shadow
+    // now; leave a migration record so the barrier retracts and erases
+    // the old one (demand_ conserved — its contribution stays folded in
+    // until exactly then).
+    migrations_[static_cast<std::size_t>(g)].push_back({request.call, g});
   }
   applyShadow(shadow, +1.0);
-  maybeRebuild();
+  if (!grouped()) maybeRebuild();  // grouped runs rebuild at the barrier
 }
 
 void ShadowClusterController::onReleased(const CallRequest& request,
                                          const AdmissionContext& context) {
-  if (grouped()) {
-    // The release reaches us in the lane (or drain) acting for the cell
-    // the call occupied — which is the shadow's anchor (both are set by
-    // the same last admission), so the lookup stays inside the acting
-    // group's own store. A miss means the call was never tracked (e.g.
-    // released before any grouped admission): nothing to retract.
-    CellId cell = request.target_cell;
-    if (cell == cellular::kInvalidCell) cell = context.station.cell();
-    GroupStore& store =
-        stores_[static_cast<std::size_t>(partition_->groupOf(cell))];
-    const auto it = store.shadows.find(request.call);
-    if (it == store.shadows.end()) return;
-    applyShadowGrouped(it->second, -1.0);
-    store.shadows.erase(it);
-    return;
-  }
-  const auto it = shadows_.find(request.call);
-  if (it == shadows_.end()) return;
+  // The release reaches us in the lane (or drain) acting for the cell the
+  // call occupied — which is the shadow's anchor (both are set by the same
+  // last admission), so the lookup stays inside the acting group's own
+  // store. A miss means the call was never tracked: nothing to retract.
+  CellId cell = request.target_cell;
+  if (cell == cellular::kInvalidCell) cell = context.station.cell();
+  GroupStore& store =
+      stores_[static_cast<std::size_t>(partition_.groupOf(cell))];
+  const auto it = store.shadows.find(request.call);
+  if (it == store.shadows.end()) return;
   applyShadow(it->second, -1.0);
-  shadows_.erase(it);
-  maybeRebuild();
+  store.shadows.erase(it);
+  if (!grouped()) maybeRebuild();
 }
 
 void ShadowClusterController::onPartitionChanged(
     const cellular::CellGroupPartition& p) {
-  if (config_.reach <= 0) return;  // Global scope: no grouped state to key
-  if (grouped()) {
-    // The engine drains the policy barrier before adopting a repartition,
-    // so this is normally a no-op; a direct driver (unit tests) may still
-    // have deferred work keyed to the old mapping — fold it first, under
-    // that mapping, or the delta targets would be re-homed out from under
-    // the buffered records.
-    (void)drainBarrierWork();
-  }
+  if (config_.reach <= 0) return;  // Global scope: one group, always
+  // The engine drains the policy barrier before adopting a repartition, so
+  // this is normally a no-op; a direct driver (unit tests) may still have
+  // deferred work keyed to the old mapping — fold it first, under that
+  // mapping, or the delta targets would be re-homed out from under the
+  // buffered records.
+  (void)drainBarrierWork();
   // Canonical call order makes the re-keyed stores — and every later
   // rebuild walking them — independent of hash-map bucket history.
   std::vector<std::pair<cellular::CallId, Shadow>> tracked;
   tracked.reserve(trackedCalls());
-  for (const auto& [id, shadow] : shadows_) tracked.emplace_back(id, shadow);
   for (const GroupStore& store : stores_) {
     for (const auto& [id, shadow] : store.shadows) {
       tracked.emplace_back(id, shadow);
@@ -397,23 +331,13 @@ void ShadowClusterController::onPartitionChanged(
   std::sort(tracked.begin(), tracked.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  shadows_.clear();
-  stores_.clear();
-  deferred_.clear();
-  migrations_.clear();
   partition_ = p;  // copy: the engine's reference dies with this call
-  if (!grouped()) {
-    // One group: the legacy single-map path stays authoritative, keeping
-    // commit_groups == 1 bit-identical to the pre-grouped controller.
-    for (auto& [id, shadow] : tracked) shadows_.emplace(id, shadow);
-    snapshot_.clear();
-    return;
-  }
-  stores_.resize(static_cast<std::size_t>(partition_->groups()));
-  deferred_.resize(stores_.size());
-  migrations_.resize(stores_.size());
+  const auto groups = static_cast<std::size_t>(partition_.groups());
+  stores_.assign(groups, GroupStore{});
+  deferred_.assign(groups, {});
+  migrations_.assign(groups, {});
   for (auto& [id, shadow] : tracked) {
-    stores_[static_cast<std::size_t>(partition_->groupOf(shadow.anchor))]
+    stores_[static_cast<std::size_t>(partition_.groupOf(shadow.anchor))]
         .shadows.emplace(id, shadow);
   }
   // demand_ is deliberately untouched: every tracked contribution is
@@ -427,7 +351,7 @@ cellular::BarrierDrainStats ShadowClusterController::onCommitBarrier(
     double /*now_s*/) {
   if (!grouped()) return {};
   const cellular::BarrierDrainStats stats = drainBarrierWork();
-  maybeRebuildGrouped();
+  maybeRebuild();
   // The next window's foreign-row reads see everything up to this barrier
   // and nothing later — reservation visibility, for demand rows.
   snapshot_ = demand_;

@@ -17,7 +17,6 @@
 /// the cluster for the whole horizon.
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -138,12 +137,12 @@ class ShadowClusterController final : public cellular::AdmissionController {
                   const cellular::AdmissionContext& context) override;
 
   /// Adopts the engine's cell-to-group mapping (startup and every adopted
-  /// repartition epoch — barrier context). In grouped mode (reach > 0 and
-  /// more than one group) the shared shadow map splits into per-group
-  /// stores keyed by each shadow's anchor group; a boundary move re-keys
-  /// every store in canonical call order. `demand_` is left untouched by
-  /// the re-keying — every tracked contribution is already folded in — so
-  /// total projected demand is conserved exactly across a repartition.
+  /// repartition epoch — barrier context). With reach > 0 the shadows are
+  /// re-keyed into one store per group, by each shadow's anchor group, in
+  /// canonical call order; reach = 0 keeps the single group it was built
+  /// with. `demand_` is left untouched by the re-keying — every tracked
+  /// contribution is already folded in — so total projected demand is
+  /// conserved exactly across a repartition.
   void onPartitionChanged(const cellular::CellGroupPartition& p) override;
 
   /// Applies the deferred cross-group demand deltas (sorted per acting
@@ -171,9 +170,9 @@ class ShadowClusterController final : public cellular::AdmissionController {
   [[nodiscard]] DemandProfile projectedDemand(cellular::CellId cell) const;
 
   /// Number of mobiles currently exerting a shadow (summed over the
-  /// per-group stores in grouped mode).
+  /// per-group stores).
   [[nodiscard]] std::size_t trackedCalls() const noexcept {
-    std::size_t n = shadows_.size();
+    std::size_t n = 0;
     for (const GroupStore& store : stores_) n += store.shadows.size();
     return n;
   }
@@ -202,11 +201,11 @@ class ShadowClusterController final : public cellular::AdmissionController {
     cellular::CellId anchor = 0;
   };
 
-  /// One commit group's slice of the shadow map (grouped mode): every
-  /// shadow whose anchor the partition maps to this group, plus the
-  /// group's own rebuild counter. Invariant: a shadow lives in the store
-  /// of its anchor's group — lanes and per-target-group reservation
-  /// drains therefore touch disjoint stores.
+  /// One commit group's slice of the shadows: every shadow whose anchor
+  /// the partition maps to this group, plus the group's own rebuild
+  /// counter. Invariant: a shadow lives in the store of its anchor's
+  /// group — lanes and per-target-group reservation drains therefore touch
+  /// disjoint stores. At one group this is the whole shadow set.
   struct GroupStore {
     std::unordered_map<cellular::CallId, Shadow> shadows;
     std::uint64_t updates_since_rebuild = 0;
@@ -250,41 +249,31 @@ class ShadowClusterController final : public cellular::AdmissionController {
   [[nodiscard]] double contribution(const Shadow& shadow,
                                     cellular::CellId cell, int k) const;
 
-  /// Adds (sign +1) or retracts (sign -1) one shadow's contribution from
-  /// every station's demand accumulator — the incremental cache update.
+  /// Adds (sign +1) or retracts (sign -1) one shadow's contribution — the
+  /// incremental cache update. Footprint rows owned by the shadow's anchor
+  /// group apply live (the acting lane/drain owns them); rows across a
+  /// group boundary defer into the acting group's delta buffer for the
+  /// barrier to fold. At one group every row applies live. Counts one
+  /// update toward the acting group's rebuild counter.
   void applyShadow(const Shadow& shadow, double sign);
 
-  /// Grouped-mode incremental update: footprint rows owned by the
-  /// shadow's anchor group apply live (the acting lane/drain owns them);
-  /// rows across a group boundary defer into the acting group's delta
-  /// buffer for the barrier to fold. Counts one update toward the acting
-  /// group's rebuild counter.
-  void applyShadowGrouped(const Shadow& shadow, double sign);
-
-  /// Runs the periodic exact rebuild when rebuild_every updates have
-  /// accumulated. Called only from the public mutators, when shadows_ and
-  /// demand_ agree (never mid-refresh, where a rebuild would double-count
-  /// the shadow being replaced). Ungrouped mode only — grouped rebuilds
-  /// run per group at the barrier (maybeRebuildGrouped).
-  void maybeRebuild();
-
-  /// Per-group exact rebuilds, barrier context: any group whose counter
-  /// crossed rebuild_every gets its cells' rows zeroed and recomputed from
-  /// every tracked shadow whose footprint intersects them (stores in index
+  /// Per-group exact rebuilds: any group whose counter crossed
+  /// rebuild_every gets its cells' rows zeroed and recomputed from every
+  /// tracked shadow whose footprint intersects them (stores in index
   /// order, canonical call order within each) — exactly what the
-  /// incremental updates accumulated there, minus the float residue.
-  void maybeRebuildGrouped();
+  /// incremental updates accumulated there, minus the float residue. At one
+  /// group the public mutators run it inline, when the store and demand_
+  /// agree (never mid-refresh, where a rebuild would double-count the
+  /// shadow being replaced); grouped runs rebuild at the barrier.
+  void maybeRebuild();
 
   /// Folds the deferred cross-group deltas (sort per buffer, tree-combine,
   /// serial apply) and re-homes migrated shadows. Barrier context.
   [[nodiscard]] cellular::BarrierDrainStats drainBarrierWork();
 
-  /// True when per-group stores are live: a partition with more than one
-  /// group was adopted and reach bounds the footprint.
-  [[nodiscard]] bool grouped() const noexcept {
-    return partition_.has_value() && partition_->groups() > 1 &&
-           config_.reach > 0;
-  }
+  /// True when the shadows split over more than one commit group (only a
+  /// bounded reach ever adopts such a partition).
+  [[nodiscard]] bool grouped() const noexcept { return stores_.size() > 1; }
 
   [[nodiscard]] std::size_t demandIndex(cellular::CellId cell,
                                         int k) const noexcept {
@@ -300,17 +289,16 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// Row read for a decision acting in group \p g: the group's own rows
   /// read live (end-of-window within the lane's canonical replay), foreign
   /// rows read the barrier snapshot — the same visibility the engine's
-  /// reservation protocol gives cross-group state. Ungrouped (g < 0)
-  /// reads live, the historical behaviour.
+  /// reservation protocol gives cross-group state. At one group (g < 0)
+  /// every row is the acting group's own and reads live.
   [[nodiscard]] double demandRead(int g, cellular::CellId cell,
                                   int k) const noexcept {
-    if (g < 0 || partition_->groupOf(cell) == g) return demandAt(cell, k);
+    if (g < 0 || partition_.groupOf(cell) == g) return demandAt(cell, k);
     return snapshot_[demandIndex(cell, k)];
   }
 
   const cellular::HexNetwork& network_;
   SccConfig config_;
-  std::unordered_map<cellular::CallId, Shadow> shadows_;
   /// Running per-(cell, interval) demand sums over all tracked shadows —
   /// what each BS would hold after accumulating every mobile's probability
   /// vector. Row-major: cell * intervals + k.
@@ -323,21 +311,18 @@ class ShadowClusterController final : public cellular::AdmissionController {
   /// then footprint() answers with all_cells_.
   std::vector<std::vector<cellular::CellId>> footprints_;
   std::vector<cellular::CellId> all_cells_;
-  /// Shadow updates since the last exact rebuild of demand_ (ungrouped).
-  std::uint64_t updates_since_rebuild_ = 0;
 
-  // ---- grouped mode (GroupLocal commits; empty/unused otherwise) ----
   /// Copy of the engine's cell-to-group mapping, adopted at
-  /// onPartitionChanged(). Grouped mode engages at groups > 1; at one
-  /// group the legacy single-map path above stays authoritative, keeping
-  /// commit_groups == 1 bit-identical to the pre-grouped controller.
-  std::optional<cellular::CellGroupPartition> partition_;
+  /// onPartitionChanged(); one group from construction, so a controller
+  /// driven directly (unit tests, the operator dashboard) needs no
+  /// partition.
+  cellular::CellGroupPartition partition_;
   /// Per-group shadow stores, indexed by commit group (stores_[g] holds
-  /// exactly the shadows whose anchor maps to g).
+  /// exactly the shadows whose anchor maps to g). Never empty.
   std::vector<GroupStore> stores_;
   /// Barrier snapshot of demand_ — what foreign-group rows read during a
   /// window (each row has exactly one live writer: its owner group).
-  /// Refreshed at every onCommitBarrier().
+  /// Refreshed at every grouped onCommitBarrier(); unread at one group.
   std::vector<double> snapshot_;
   /// Per-acting-group deferred cross-group writes and boundary-crossing
   /// handoff re-homes. Exactly one writer per phase (the group's lane, its

@@ -140,9 +140,6 @@ class SimulationBuilder {
   /// Worker shards for the run (1 = serial; results are bit-identical for
   /// any value — shards only change how much local work runs concurrently).
   SimulationBuilder& shards(int n);
-  /// Hoist snapshot-only policy work (FACS: FLC1) off the serialized commit
-  /// path (default on; results are bit-identical either way).
-  SimulationBuilder& precomputeCv(bool on = true);
   /// Commit lanes for the two-level commit scheme (1 = the serialized
   /// commit phase; N > 1 needs a CommitScope::CellLocal policy — see
   /// SimulationConfig::commit_groups).

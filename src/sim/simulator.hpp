@@ -168,13 +168,6 @@ struct SimulationConfig {
   /// Weighted.
   double repartition_every_s = 0.0;
 
-  /// Hoist snapshot-only policy work (FACS: the FLC1 prediction) into the
-  /// parallel prepare/local phases via AdmissionController::precompute(),
-  /// so the serialized commit phase runs only the ledger-dependent stage.
-  /// Metrics are bit-identical on or off — the toggle exists for the
-  /// equivalence tests and for measuring the serial-fraction win.
-  bool precompute_cv = true;
-
   /// Scheduled workload changes (serve/mutation.hpp), applied only at
   /// tick-window barriers: the engine clamps the window so a barrier
   /// lands exactly at each mutation's `at_s`, keeping mutated runs

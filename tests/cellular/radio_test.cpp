@@ -6,6 +6,9 @@
 #include <random>
 #include <span>
 
+#include "radio_oracle.hpp"
+#include "sim/rng.hpp"
+
 namespace facs::cellular {
 namespace {
 
@@ -41,21 +44,6 @@ TEST(PathLoss, ClampsNearFieldAndRejectsNegative) {
   PathLossParams p;
   EXPECT_DOUBLE_EQ(pathLossDb(p, 0.0), pathLossDb(p, p.min_distance_km));
   EXPECT_THROW((void)pathLossDb(p, -1.0), std::invalid_argument);
-}
-
-TEST(PathLoss, ShadowingIsZeroMeanAndDisablable) {
-  PathLossParams p;
-  p.shadowing_sigma_db = 8.0;
-  sim::Rng rng{1};
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    sum += shadowedPathLossDb(p, 2.0, rng) - pathLossDb(p, 2.0);
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.2);
-
-  p.shadowing_sigma_db = 0.0;
-  EXPECT_DOUBLE_EQ(shadowedPathLossDb(p, 2.0, rng), pathLossDb(p, 2.0));
 }
 
 TEST(RadioModel, ValidatesConfig) {
@@ -125,28 +113,6 @@ TEST(RadioModel, CellEdgeIsWorseThanCellCentre) {
   for (CellId id = 1; id < 7; ++id) net.station(id).allocate(id, 20, true);
   const RadioModel radio{net};
   EXPECT_GT(radio.sinrDb({0.5, 0.0}, 0), radio.sinrDb({8.0, 0.0}, 0));
-}
-
-TEST(RadioModel, ShadowedSinrVariesAroundDeterministic) {
-  HexNetwork net{1};
-  net.station(3).allocate(1, 40, true);
-  const RadioModel radio{net};
-  sim::Rng rng{3};
-  const Vec2 user{4.0, 0.0};
-  const double det = radio.sinrDb(user, 0);
-  double sum = 0.0;
-  double min = 1e9;
-  double max = -1e9;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    const double s = radio.shadowedSinrDb(user, 0, rng);
-    sum += s;
-    min = std::min(min, s);
-    max = std::max(max, s);
-  }
-  EXPECT_GT(max, det + 4.0);  // 8 dB shadowing spreads wide
-  EXPECT_LT(min, det - 4.0);
-  EXPECT_NEAR(sum / n, det, 3.0);  // roughly centred (log-domain skew allowed)
 }
 
 // ---------------------------------------------- gain tables & footprint --

@@ -278,6 +278,7 @@ TEST(Cli, HelpFlag) {
 
 TEST(Cli, Errors) {
   EXPECT_THROW((void)parseCli({"--bogus"}), CliError);
+  EXPECT_THROW((void)parseCli({"--no-precompute"}), CliError);  // retired
   EXPECT_THROW((void)parseCli({"--requests"}), CliError);        // missing value
   EXPECT_THROW((void)parseCli({"--requests", "ten"}), CliError); // not a number
   EXPECT_THROW((void)parseCli({"--requests", "1.5"}), CliError); // not an int

@@ -39,8 +39,7 @@ TEST(Flc1Structure, RuleBaseIs42RulesAndComplete) {
   const MamdaniEngine& e = engine();
   // |T(S)| x |T(A)| x |T(D)| = 3 * 7 * 2 = 42 (paper Section 3.1).
   EXPECT_EQ(e.rules().size(), 42u);
-  const fuzzy::RuleBaseReport report =
-      e.rules().validate(e.inputs(), e.output());
+  const fuzzy::RuleBaseReport report = e.rules().validate(e.inputs());
   EXPECT_TRUE(report.ok);
   EXPECT_TRUE(report.uncovered.empty());
   EXPECT_TRUE(report.conflicts.empty());

@@ -38,8 +38,7 @@ TEST(Flc2Structure, VariablesMatchPaper) {
 TEST(Flc2Structure, RuleBaseIs27RulesAndComplete) {
   const MamdaniEngine& e = engine();
   EXPECT_EQ(e.rules().size(), 27u);  // 3 x 3 x 3 (paper Section 3.2)
-  const fuzzy::RuleBaseReport report =
-      e.rules().validate(e.inputs(), e.output());
+  const fuzzy::RuleBaseReport report = e.rules().validate(e.inputs());
   EXPECT_TRUE(report.ok);
 }
 

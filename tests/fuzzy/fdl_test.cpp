@@ -4,6 +4,7 @@
 
 #include <array>
 #include <sstream>
+#include <string_view>
 
 namespace facs::fuzzy {
 namespace {
@@ -125,6 +126,18 @@ INSTANTIATE_TEST_SUITE_P(
                "engine e\ninput x 0 1\nterm a tri 0 0 1\noutput y 0 1\nterm "
                "b tri 0 0 1\nrule a b\n",
                6},
+        // Rules resolve only when the whole document is read; a fault
+        // still names the rule's own line (a conflict: the later rule's).
+        BadDoc{"rule_bad_weight",
+               "engine e\ninput x 0 1\nterm lo tri 0 0 1\nterm hi tri 1 1 0\n"
+               "output y 0 1\nterm lo tri 0 0 1\nrule lo => lo\n"
+               "rule hi => lo weight 1.5\n",
+               8},
+        BadDoc{"rule_conflict",
+               "engine e\ninput x 0 1\nterm lo tri 0 0 1\noutput y 0 1\n"
+               "term lo tri 0 0 1\nterm hi tri 1 1 0\nrule lo => lo\n"
+               "rule lo => hi\n\n# end\n",
+               8},
         BadDoc{"unknown_tnorm", "conjunction nope\n", 1},
         BadDoc{"unknown_defuzz", "defuzzifier nope\n", 1},
         // The resolution is an integer in [2, kMaxResolution], checked on
@@ -143,8 +156,20 @@ TEST(Fdl, MissingEngineOrOutputFails) {
                FdlError);
 }
 
+/// Line of the FdlError \p doc raises; 0 when it parses.
+int errorLine(std::string_view doc) {
+  try {
+    (void)parseFdl(doc);
+  } catch (const FdlError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
 TEST(Fdl, RuleWithUnknownTermFailsAtBuild) {
-  EXPECT_THROW((void)parseFdl(R"(
+  // Rule names resolve only when the parsed spec becomes an engine, after
+  // the whole document is read; the error still names the rule's line.
+  EXPECT_EQ(errorLine(R"(
 engine e
 input x 0 1
   term lo tri 0 0 1
@@ -152,26 +177,15 @@ output y 0 1
   term lo tri 0 0 1
 rule nope => lo
 )"),
-               FdlError);
+            7);
 }
 
 TEST(Fdl, StructuralDefectsRaiseFdlError) {
-  // Conflicting rules and an empty rule base are caught when the parsed
-  // spec becomes an engine, and still surface as FdlError.
-  EXPECT_THROW((void)parseFdl(R"(
-engine e
-input x 0 1
-  term lo tri 0 0 1
-output y 0 1
-  term lo tri 0 0 1
-  term hi tri 1 1 0
-rule lo => lo
-rule lo => hi
-)"),
-               FdlError);
-  EXPECT_THROW((void)parseFdl("engine e\ninput x 0 1\nterm lo tri 0 0 1\n"
-                              "output y 0 1\nterm lo tri 0 0 1\n"),
-               FdlError);
+  // A document-wide defect such as an empty rule base has no line of its
+  // own and is reported at line 1.
+  EXPECT_EQ(errorLine("engine e\ninput x 0 1\nterm lo tri 0 0 1\n"
+                      "output y 0 1\nterm lo tri 0 0 1\n"),
+            1);
 }
 
 TEST(Fdl, SmoothShapesParseAndRoundTrip) {

@@ -69,12 +69,11 @@ TEST(RuleBase, ValidateFlagsUncoveredCombinations) {
   const auto output = makeOutput();
   RuleBase rb;
   rb.add(inputs, output, {"lo", "x"}, "yes");
-  const RuleBaseReport report = rb.validate(inputs, output);
+  const RuleBaseReport report = rb.validate(inputs);
   EXPECT_FALSE(report.ok);
   // 2 x 3 = 6 combinations, one covered.
   EXPECT_EQ(report.uncovered.size(), 5u);
   EXPECT_TRUE(report.conflicts.empty());
-  EXPECT_TRUE(report.malformed.empty());
 }
 
 TEST(RuleBase, WildcardCoversWholeAxis) {
@@ -84,7 +83,7 @@ TEST(RuleBase, WildcardCoversWholeAxis) {
   rb.add(inputs, output, {"*", "x"}, "yes");
   rb.add(inputs, output, {"*", "y"}, "yes");
   rb.add(inputs, output, {"*", "z"}, "no");
-  const RuleBaseReport report = rb.validate(inputs, output);
+  const RuleBaseReport report = rb.validate(inputs);
   EXPECT_TRUE(report.ok) << "uncovered: " << report.uncovered.size();
 }
 
@@ -94,7 +93,7 @@ TEST(RuleBase, ValidateFlagsConflicts) {
   RuleBase rb;
   rb.add(inputs, output, {"lo", "x"}, "yes");
   rb.add(inputs, output, {"lo", "x"}, "no");  // same antecedent, different action
-  const RuleBaseReport report = rb.validate(inputs, output);
+  const RuleBaseReport report = rb.validate(inputs);
   EXPECT_FALSE(report.ok);
   ASSERT_EQ(report.conflicts.size(), 1u);
   EXPECT_EQ(report.conflicts[0], (std::pair<std::size_t, std::size_t>{0, 1}));
@@ -106,37 +105,7 @@ TEST(RuleBase, DuplicateIdenticalRulesAreNotConflicts) {
   RuleBase rb;
   rb.add(inputs, output, {"lo", "x"}, "yes");
   rb.add(inputs, output, {"lo", "x"}, "yes");
-  EXPECT_TRUE(rb.validate(inputs, output).conflicts.empty());
-}
-
-TEST(RuleBase, ValidateFlagsMalformedRules) {
-  const auto inputs = makeInputs();
-  const auto output = makeOutput();
-  Rule bad;
-  bad.antecedent = {0, 7};  // term 7 does not exist on variable b
-  bad.consequent = 0;
-  RuleBase rb;
-  rb.add(bad);
-  const RuleBaseReport report = rb.validate(inputs, output);
-  EXPECT_FALSE(report.ok);
-  ASSERT_EQ(report.malformed.size(), 1u);
-  EXPECT_EQ(report.malformed[0], 0u);
-}
-
-TEST(RuleBase, ValidateFlagsBadConsequentAndArity) {
-  const auto inputs = makeInputs();
-  const auto output = makeOutput();
-  Rule bad_consequent;
-  bad_consequent.antecedent = {0, 0};
-  bad_consequent.consequent = 9;
-  Rule bad_arity;
-  bad_arity.antecedent = {0};
-  bad_arity.consequent = 0;
-  RuleBase rb;
-  rb.add(bad_consequent);
-  rb.add(bad_arity);
-  const RuleBaseReport report = rb.validate(inputs, output);
-  EXPECT_EQ(report.malformed.size(), 2u);
+  EXPECT_TRUE(rb.validate(inputs).conflicts.empty());
 }
 
 TEST(RuleBase, UncoveredMessagesNameTerms) {
@@ -148,7 +117,7 @@ TEST(RuleBase, UncoveredMessagesNameTerms) {
   rb.add(inputs, output, {"lo", "z"}, "yes");
   rb.add(inputs, output, {"hi", "x"}, "yes");
   rb.add(inputs, output, {"hi", "y"}, "yes");
-  const RuleBaseReport report = rb.validate(inputs, output);
+  const RuleBaseReport report = rb.validate(inputs);
   ASSERT_EQ(report.uncovered.size(), 1u);
   EXPECT_EQ(report.uncovered[0], "a=hi & b=z");
 }

@@ -640,6 +640,39 @@ TEST(ShadowCluster, GroupedRebuildPreservesLiveShadows) {
   }
 }
 
+TEST(ShadowCluster, RekeyToOneGroupAppliesEveryRowLive) {
+  // Back at one group, the single store owns every row again: an admission
+  // whose footprint crossed the old boundaries shows in every cell at
+  // once, with no barrier, exactly as in a controller that never left the
+  // one group it was built with.
+  const HexNetwork net{2};
+  SccConfig cfg;
+  cfg.reach = 1;
+  ShadowClusterController scc{net, cfg};
+  ShadowClusterController fresh{net, cfg};
+  scc.onPartitionChanged(cellular::CellGroupPartition{net, 3});
+  const auto first = makeRequest(1, ServiceClass::Video, net.cell(0).center,
+                                 40.0, 30.0, 0);
+  scc.onAdmitted(first, AdmissionContext{net.station(0), 0.0});
+  fresh.onAdmitted(first, AdmissionContext{net.station(0), 0.0});
+  (void)scc.onCommitBarrier(0.0);
+
+  scc.onPartitionChanged(cellular::CellGroupPartition{net, 1});
+  const auto second = makeRequest(2, ServiceClass::Voice, net.cell(7).center,
+                                  25.0, -60.0, 7);
+  scc.onAdmitted(second, AdmissionContext{net.station(7), 1.0});
+  fresh.onAdmitted(second, AdmissionContext{net.station(7), 1.0});
+  EXPECT_EQ(scc.trackedCalls(), 2u);
+  EXPECT_EQ(scc.onCommitBarrier(1.0).deltas_applied, 0u);
+  for (const cellular::Cell& cell : net.cells()) {
+    const DemandProfile a = scc.projectedDemand(cell.id);
+    const DemandProfile b = fresh.projectedDemand(cell.id);
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_NEAR(a[k], b[k], 1e-9) << "cell " << cell.id << " k " << k;
+    }
+  }
+}
+
 TEST(ShadowCluster, AuditWorkloadFlagsAnUndersizedReach) {
   const HexNetwork net{1, 2.0};
   cellular::WorkloadEnvelope fast;

@@ -260,10 +260,9 @@ TEST(GroupLocalScc, CommitsFromAllLanesAndStaysDeterministic) {
   }
 }
 
-TEST(GroupLocalScc, GroupsOneStaysOnTheLegacyPath) {
-  // At one group the per-group stores never engage: no deferred deltas, no
-  // migrations, no reservations — the exact single-map controller the
-  // pre-grouped engine ran, bit-identical at every shard count.
+TEST(GroupLocalScc, GroupsOneAppliesEverythingLive) {
+  // At one group the single store owns every row: no deferred deltas, no
+  // migrations, no reservations, bit-identical at every shard count.
   SimulationConfig cfg = contestedConfig();
   cfg.commit_groups = 1;
   cfg.shards = 1;

@@ -102,7 +102,6 @@ TEST(ScenarioFile, ParsesEveryConfigField) {
       "commit_groups = 4\n"
       "partition = \"weighted\"\n"
       "repartition_every_s = 45\n"
-      "precompute = false\n"
       "explain = true\n"
       "[population]\n"
       "speed_kmh = [3, 9]\n"
@@ -139,7 +138,6 @@ TEST(ScenarioFile, ParsesEveryConfigField) {
   EXPECT_EQ(cfg.commit_groups, 4);
   EXPECT_EQ(cfg.partition, PartitionStrategy::Weighted);
   EXPECT_DOUBLE_EQ(cfg.repartition_every_s, 45.0);
-  EXPECT_FALSE(cfg.precompute_cv);
   EXPECT_TRUE(cfg.explain);
   EXPECT_DOUBLE_EQ(cfg.scenario.speed_min_kmh, 3.0);
   EXPECT_DOUBLE_EQ(cfg.scenario.speed_max_kmh, 9.0);
@@ -205,6 +203,11 @@ TEST(ScenarioFile, UnknownKeysAndSectionsAreErrors) {
   expectError("[scenario]\nname = \"x\"\n[warp]\n", 3, "unknown section");
   expectError("[scenario]\nname = \"x\"\n[network]\nrequests = 5\n", 4,
               "unknown key 'requests'");
+  // The retired precompute toggle (hoisting is unconditional) fails like
+  // any other unknown key, at its own line.
+  expectError(
+      "[scenario]\nname = \"x\"\n[run]\nseed = 2\nprecompute = false\n", 5,
+      "unknown key 'precompute'");
 }
 
 TEST(ScenarioFile, BadPolicySpecNamesFileAndLine) {

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string_view>
+
+#include "cellular/policy_registry.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "sim/simulator.hpp"
 
@@ -114,26 +118,78 @@ TEST(ShardedEngine, SingleCellRunsShardToo) {
 
 // ---------------------------------------------------------------------------
 // Precompute equivalence: hoisting the snapshot-only FLC1 stage into the
-// parallel prepare/local phases (SimulationConfig::precompute_cv) must not
-// move a single bit of any metric — it is the same inference over the same
-// snapshot, just executed off the serialized commit path.
+// parallel prepare/local phases must not move a single bit of any metric —
+// it is the same inference over the same snapshot, just executed off the
+// serialized commit path. The reference keeps FLC1 inline: a wrapper whose
+// precompute() returns an invalid PredictedCv, so decide() infers it.
 // ---------------------------------------------------------------------------
 
-TEST(PrecomputeEquivalence, BitIdenticalOnVsOffAcrossShardCounts) {
+/// Forwards every hook to the wrapped policy except precompute(), which it
+/// leaves at the base class's invalid result.
+class InlinePrediction final : public cellular::AdmissionController {
+ public:
+  explicit InlinePrediction(
+      std::unique_ptr<cellular::AdmissionController> inner)
+      : inner_{std::move(inner)} {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
+    return inner_->commitScope();
+  }
+  [[nodiscard]] cellular::AdmissionDecision decide(
+      const cellular::CallRequest& request,
+      const cellular::AdmissionContext& context) override {
+    return inner_->decide(request, context);
+  }
+  void onAdmitted(const cellular::CallRequest& request,
+                  const cellular::AdmissionContext& context) override {
+    inner_->onAdmitted(request, context);
+  }
+  void onReleased(const cellular::CallRequest& request,
+                  const cellular::AdmissionContext& context) override {
+    inner_->onReleased(request, context);
+  }
+  void onRejected(const cellular::CallRequest& request,
+                  const cellular::AdmissionContext& context) override {
+    inner_->onRejected(request, context);
+  }
+  void onPartitionChanged(const cellular::CellGroupPartition& p) override {
+    inner_->onPartitionChanged(p);
+  }
+  cellular::BarrierDrainStats onCommitBarrier(double now_s) override {
+    return inner_->onCommitBarrier(now_s);
+  }
+  [[nodiscard]] std::string auditWorkload(
+      const cellular::WorkloadEnvelope& envelope) const override {
+    return inner_->auditWorkload(envelope);
+  }
+
+ private:
+  std::unique_ptr<cellular::AdmissionController> inner_;
+};
+
+/// Runs \p policy with FLC1 (or any snapshot-only stage) inferred inline.
+Metrics runInline(const SimulationConfig& cfg, std::string_view policy) {
+  const ControllerFactory make =
+      cellular::PolicyRuntime::defaultRuntime().makeFactory(policy);
+  return runSimulation(cfg, [&make](const cellular::HexNetwork& net) {
+    return std::make_unique<InlinePrediction>(make(net));
+  });
+}
+
+TEST(PrecomputeEquivalence, HoistedMatchesInlineAcrossShardCounts) {
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 1;
-  cfg.precompute_cv = false;
-  const Metrics inline_flc1 = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics inline_flc1 = runInline(cfg, "facs");
   // The scenario must include handoffs: each one is a mobility update that
   // invalidates the CV prepared at request time, forcing the local phase
   // to re-run the prediction against the post-step snapshot.
   ASSERT_GT(inline_flc1.handoff_requests, 0);
   for (const int shards : {1, 2, 4}) {
     cfg.shards = shards;
-    cfg.precompute_cv = true;
     const Metrics hoisted = SimulationBuilder{cfg}.policy("facs").run();
     expectBitIdentical(inline_flc1, hoisted,
-                       "precompute on, shards=" + std::to_string(shards));
+                       "hoisted, shards=" + std::to_string(shards));
   }
 }
 
@@ -149,36 +205,25 @@ TEST(PrecomputeEquivalence, MobilityInvalidatedCvRecomputesBeforeCommit) {
   cfg.scenario.speed_min_kmh = 80.0;
   cfg.scenario.speed_max_kmh = 120.0;
   cfg.shards = 1;
-  cfg.precompute_cv = false;
-  const Metrics inline_flc1 = SimulationBuilder{cfg}.policy("facs").run();
+  const Metrics inline_flc1 = runInline(cfg, "facs");
   ASSERT_GT(inline_flc1.handoff_requests, inline_flc1.new_requests / 2);
   for (const int shards : {1, 4}) {
     cfg.shards = shards;
-    cfg.precompute_cv = true;
     const Metrics hoisted = SimulationBuilder{cfg}.policy("facs").run();
     expectBitIdentical(inline_flc1, hoisted,
-                       "handoff-heavy precompute, shards=" +
+                       "handoff-heavy hoisted, shards=" +
                            std::to_string(shards));
   }
 }
 
 TEST(PrecomputeEquivalence, PoliciesWithoutPrecomputeAreUnaffected) {
-  // Policies that keep the default no-op precompute() (SCC here) must see
-  // an invalid PredictedCv and decide exactly as before, toggle or not.
+  // Policies that keep the default no-op precompute() (SCC here) see an
+  // invalid PredictedCv either way: the wrapper changes nothing.
   SimulationConfig cfg = contestedConfig();
   cfg.shards = 2;
-  cfg.precompute_cv = true;
-  const Metrics on = SimulationBuilder{cfg}.policy("scc").run();
-  cfg.precompute_cv = false;
-  const Metrics off = SimulationBuilder{cfg}.policy("scc").run();
-  expectBitIdentical(on, off, "scc precompute on vs off");
-}
-
-TEST(PrecomputeEquivalence, BuilderAndConfigSurfaceTheToggle) {
-  EXPECT_TRUE(SimulationConfig{}.precompute_cv);  // hoisting is the default
-  const SimulationConfig cfg =
-      SimulationBuilder::scenario("urban-walkers").precomputeCv(false).build();
-  EXPECT_FALSE(cfg.precompute_cv);
+  const Metrics direct = SimulationBuilder{cfg}.policy("scc").run();
+  const Metrics wrapped = runInline(cfg, "scc");
+  expectBitIdentical(direct, wrapped, "scc direct vs wrapped");
 }
 
 TEST(ShardedEngine, PhaseProfileIsPopulated) {

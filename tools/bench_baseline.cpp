@@ -294,10 +294,9 @@ int benchMicro(const std::string& path) {
 
   // The SIR decide path on the 19-cell study network (rings=2, 1.5 km
   // cells), every station partially loaded. The det_ checksum walks the
-  // gain-table sinrDb over a position x serving-cell grid and is audited
-  // against the legacy log10+pow path-loss chain the tables replaced —
-  // the factorization is a reformulation, so the two sums must agree to
-  // numerical noise before the checksum may become a baseline.
+  // gain-table sinrDb over a position x serving-cell grid
+  // (RadioModel.GainTableWalkMatchesScalarReferenceBitForBit checks the
+  // tables against the log-domain path-loss chain they replaced).
   cellular::HexNetwork net{2, 1.5};
   {
     cellular::CallId call = 1;
@@ -308,39 +307,15 @@ int benchMicro(const std::string& path) {
     }
   }
   const cellular::RadioModel radio{net};
-  const cellular::RadioConfig& rc = radio.config();
   double sir_checksum = 0.0;
-  double legacy_checksum = 0.0;
   for (const cellular::Cell& c : net.cells()) {
     for (const double fx : {0.15, -0.4, 0.65}) {
       for (const double fy : {0.3, -0.55}) {
-        const cellular::Vec2 pos{c.center.x + fx, c.center.y + fy};
-        sir_checksum += radio.sinrDb(pos, c.id);
-        double i_mw = cellular::dbmToMw(rc.noise_floor_dbm);
-        for (const cellular::Cell& o : net.cells()) {
-          if (o.id == c.id) continue;
-          const double activity =
-              rc.activity_factor * net.station(o.id).utilization();
-          if (activity <= 0.0) continue;
-          i_mw += activity *
-                  cellular::dbmToMw(
-                      rc.tx_power_dbm -
-                      cellular::pathLossDb(
-                          rc.path_loss, net.distanceToStationKm(pos, o.id)));
-        }
-        const double s_mw = cellular::dbmToMw(
-            rc.tx_power_dbm -
-            cellular::pathLossDb(rc.path_loss,
-                                 net.distanceToStationKm(pos, c.id)));
-        legacy_checksum += cellular::linearToDb(s_mw / i_mw);
+        sir_checksum +=
+            radio.sinrDb(cellular::Vec2{c.center.x + fx, c.center.y + fy},
+                         c.id);
       }
     }
-  }
-  if (std::abs(sir_checksum - legacy_checksum) > 1e-6) {
-    std::cerr << "bench_baseline: gain-table SINR diverged from the legacy "
-              << "formula (" << sim::shortestNumber(sir_checksum) << " vs "
-              << sim::shortestNumber(legacy_checksum) << ")\n";
-    return 1;
   }
 
   // Per-decision latency through the registry-built controller (the

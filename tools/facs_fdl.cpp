@@ -27,8 +27,7 @@ fuzzy::MamdaniEngine load(const std::string& path) {
 
 int check(const std::string& path) {
   const fuzzy::MamdaniEngine engine = load(path);
-  const fuzzy::RuleBaseReport report =
-      engine.rules().validate(engine.inputs(), engine.output());
+  const fuzzy::RuleBaseReport report = engine.rules().validate(engine.inputs());
   std::cout << "engine '" << engine.name() << "': " << engine.inputCount()
             << " inputs, " << engine.output().termCount()
             << " output terms, " << engine.rules().size() << " rules\n";
