@@ -2,7 +2,8 @@
 /// Microbenchmarks of the fuzzy substrate: per-inference latency of FLC1,
 /// FLC2 and the full FACS cascade — the numbers that decide whether the
 /// controller is viable on a base station's admission path ("suitable for
-/// real-time operation", paper Section 3).
+/// real-time operation", paper Section 3) — and the cost of building the
+/// engines.
 
 #include <benchmark/benchmark.h>
 
@@ -116,6 +117,33 @@ void BM_FacsEvaluateResolution(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FacsEvaluateResolution)->Arg(101)->Arg(251)->Arg(1001)->Arg(4001);
+
+/// Engine set-up: what a FACS policy pays once per parsed spec.
+void BM_BuildFlc1(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::buildFlc1());
+  }
+}
+BENCHMARK(BM_BuildFlc1);
+
+void BM_BuildFlc2(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::buildFlc2());
+  }
+}
+BENCHMARK(BM_BuildFlc2);
+
+/// Spec -> factory -> one controller: the full set-up of one FACS run
+/// (the factory builds both engines; its controllers share them).
+void BM_FacsFactory(benchmark::State& state) {
+  const cellular::PolicyRuntime& runtime =
+      cellular::PolicyRuntime::defaultRuntime();
+  const cellular::HexNetwork net{0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runtime.makeFactory("facs")(net));
+  }
+}
+BENCHMARK(BM_FacsFactory);
 
 void BM_FdlParseFlc1(benchmark::State& state) {
   const std::string doc = fuzzy::toFdl(core::buildFlc1());

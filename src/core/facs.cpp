@@ -26,18 +26,20 @@ std::string_view toString(SoftDecision d) noexcept {
 
 FacsController::FacsController(FacsConfig config)
     : config_{config},
-      flc1_{buildFlc1(config.flc1)},
-      flc2_{buildFlc2(config.flc2)} {}
+      flc1_{std::make_shared<const fuzzy::MamdaniEngine>(
+          buildFlc1(config.flc1))},
+      flc2_{std::make_shared<const fuzzy::MamdaniEngine>(
+          buildFlc2(config.flc2))} {}
 
 double FacsController::predictCv(const cellular::UserSnapshot& user) const {
   const std::array<double, 3> inputs{user.speed_kmh, user.angle_deg,
                                      user.distance_km};
-  return flc1_.infer(inputs);
+  return flc1_->infer(inputs);
 }
 
 SoftDecision FacsController::classify(double ar) const {
   // Term order in FLC2's output variable matches the SoftDecision values.
-  return static_cast<SoftDecision>(flc2_.output().winningTerm(ar));
+  return static_cast<SoftDecision>(flc2_->output().winningTerm(ar));
 }
 
 cellular::PredictedCv FacsController::precompute(
@@ -68,7 +70,7 @@ FacsEvaluation FacsController::evaluate(double predicted_cv, double demand_bu,
                                         double occupied_bu, bool is_handoff,
                                         int priority) const {
   const std::array<double, 3> inputs{predicted_cv, demand_bu, occupied_bu};
-  return finishEvaluation(predicted_cv, flc2_.infer(inputs), is_handoff,
+  return finishEvaluation(predicted_cv, flc2_->infer(inputs), is_handoff,
                           priority);
 }
 
@@ -82,12 +84,13 @@ FacsEvaluation FacsController::evaluate(const cellular::UserSnapshot& user,
 void FacsController::evaluateBatch(std::span<PendingDecision> batch) const {
   // In order: each entry carries the ledger state of its own decision
   // instant, so there is nothing to reorder. The span flattens into an
-  // entry-major input array and runs through FLC2's batch kernel — sealed
+  // entry-major input array and runs through FLC2's batch kernel —
   // sample-grid aggregation plus fuzzification memoized across consecutive
   // entries with an unchanged input. The scratch is per-thread and keyed to
-  // the engine's seal id, so the memo also spans consecutive decide()
-  // calls (a batch of one each) within a commit lane, and concurrent lanes
-  // never share state.
+  // the engine's id, so the memo also spans consecutive decide() calls (a
+  // batch of one each) within a commit lane — and, since a factory's
+  // controllers share one FLC2, consecutive runs on one thread — while
+  // concurrent lanes never share state.
   static thread_local fuzzy::BatchScratch scratch;
   static thread_local std::vector<double> inputs;
   static thread_local std::vector<double> outputs;
@@ -99,7 +102,7 @@ void FacsController::evaluateBatch(std::span<PendingDecision> batch) const {
     inputs.push_back(pending.occupied_bu);
   }
   outputs.resize(batch.size());
-  flc2_.inferBatch(inputs, outputs, scratch);
+  flc2_->inferBatch(inputs, outputs, scratch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i].eval = finishEvaluation(batch[i].cv, outputs[i],
                                      batch[i].is_handoff, batch[i].priority);
@@ -210,8 +213,12 @@ const PolicyRegistrar register_facs{
         cfg.flc1.resolution = res;
         cfg.flc2.resolution = res;
       }
-      return [cfg](const cellular::HexNetwork&) {
-        return std::make_unique<FacsController>(cfg);
+      // Both engines are built here, once per parsed spec; every
+      // controller the factory makes copies the prototype and so shares
+      // them (they are immutable, with per-thread inference scratch).
+      auto prototype = std::make_shared<const FacsController>(cfg);
+      return [prototype](const cellular::HexNetwork&) {
+        return std::make_unique<FacsController>(*prototype);
       };
     }};
 

@@ -6,6 +6,7 @@
 /// counters, which the base-station ledger maintains).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 
@@ -73,15 +74,19 @@ struct PendingDecision {
 
 /// The complete admission system. Stateless between calls apart from the
 /// immutable engines, so one instance may serve many cells concurrently.
+/// A copy shares its original's engines: the `facs` policy factory builds
+/// FLC1 and FLC2 once, when its spec is parsed, and every controller it
+/// makes is a copy of one prototype.
 class FacsController final : public cellular::AdmissionController {
  public:
+  /// Builds both engines from \p config.
   explicit FacsController(FacsConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "FACS"; }
 
   /// Decisions read only the request (Cv, demand) and the target cell's
-  /// counter state; the engines are immutable once sealed and inference
-  /// scratch is per-thread. Group commit lanes may therefore run FLC2 for
+  /// counter state; the engines are immutable and inference scratch is
+  /// per-thread. Group commit lanes may therefore run FLC2 for
   /// disjoint cells concurrently, bit-identically.
   [[nodiscard]] cellular::CommitScope commitScope() const noexcept override {
     return cellular::CommitScope::CellLocal;
@@ -139,10 +144,10 @@ class FacsController final : public cellular::AdmissionController {
   [[nodiscard]] SoftDecision classify(double ar) const;
 
   [[nodiscard]] const fuzzy::MamdaniEngine& flc1() const noexcept {
-    return flc1_;
+    return *flc1_;
   }
   [[nodiscard]] const fuzzy::MamdaniEngine& flc2() const noexcept {
-    return flc2_;
+    return *flc2_;
   }
   [[nodiscard]] const FacsConfig& config() const noexcept { return config_; }
 
@@ -154,8 +159,8 @@ class FacsController final : public cellular::AdmissionController {
                                                int priority) const;
 
   FacsConfig config_;
-  fuzzy::MamdaniEngine flc1_;
-  fuzzy::MamdaniEngine flc2_;
+  std::shared_ptr<const fuzzy::MamdaniEngine> flc1_;
+  std::shared_ptr<const fuzzy::MamdaniEngine> flc2_;
 };
 
 }  // namespace facs::core

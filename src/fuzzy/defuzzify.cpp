@@ -10,8 +10,14 @@ namespace {
 
 constexpr double kZeroArea = 1e-12;
 
+/// The centroid and bisector sums below run over a span of the grid that
+/// covers every segment with a nonzero end; each skipped segment's addend
+/// is exactly zero, and adding +-0 to the +0 start or to a nonzero partial
+/// sum changes nothing, so a sum over the span equals the full-grid sum bit
+/// for bit. \p empty is the answer for a curve with no area: the midpoint of
+/// the whole grid, which the span alone does not know.
 double centroid(std::span<const double> x, std::span<const double> mu,
-                std::span<const double> w) {
+                std::span<const double> w, double empty) {
   // Trapezoidal integration of x*mu(x) and mu(x); w[i-1] = 0.5 * dx of the
   // segment, so each addend matches the historical 0.5 * dx * (...) bit for
   // bit (0.5 * dx is an exact product either way).
@@ -21,19 +27,22 @@ double centroid(std::span<const double> x, std::span<const double> mu,
     num += w[i - 1] * (x[i] * mu[i] + x[i - 1] * mu[i - 1]);
     den += w[i - 1] * (mu[i] + mu[i - 1]);
   }
-  if (den < kZeroArea) return 0.5 * (x.front() + x.back());
+  if (den < kZeroArea) return empty;
   return num / den;
 }
 
 double bisector(std::span<const double> x, std::span<const double> mu,
-                std::span<const double> w, std::vector<double>& cumulative) {
+                std::span<const double> w, double empty,
+                std::vector<double>& cumulative) {
   double total = 0.0;
   cumulative.assign(x.size(), 0.0);
   for (std::size_t i = 1; i < x.size(); ++i) {
     total += w[i - 1] * (mu[i] + mu[i - 1]);
     cumulative[i] = total;
   }
-  if (total < kZeroArea) return 0.5 * (x.front() + x.back());
+  if (total < kZeroArea) return empty;
+  // The running area is zero before the span and equals total after it, so
+  // the first crossing of half the area always lies inside the span.
   const double half = 0.5 * total;
   for (std::size_t i = 1; i < x.size(); ++i) {
     if (cumulative[i] >= half) {
@@ -48,18 +57,24 @@ double bisector(std::span<const double> x, std::span<const double> mu,
 
 enum class MaxPick { Mean, Smallest, Largest };
 
+/// \p mu is read only on \p span; every other sample is zero.
 double ofMax(std::span<const double> x, std::span<const double> mu,
-             MaxPick pick) {
+             SampleRange span, MaxPick pick) {
   double peak = 0.0;
-  for (const double m : mu) peak = std::max(peak, m);
+  for (std::size_t i = span.lo; i < span.hi; ++i) peak = std::max(peak, mu[i]);
   if (peak < kZeroArea) return 0.5 * (x.front() + x.back());
   const double tol = 1e-9;
+  const double floor = peak - tol;
+  // Zero samples belong to the maximizing set only when floor <= 0; then
+  // the scan covers the whole grid and reads them as the zeros they are.
+  const SampleRange scan = floor > 0.0 ? span : SampleRange{0, x.size()};
   double sum = 0.0;
   std::size_t count = 0;
   double smallest = x.back();
   double largest = x.front();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (mu[i] >= peak - tol) {
+  for (std::size_t i = scan.lo; i < scan.hi; ++i) {
+    const double m = i >= span.lo && i < span.hi ? mu[i] : 0.0;
+    if (m >= floor) {
       sum += x[i];
       ++count;
       smallest = std::min(smallest, x[i]);
@@ -77,22 +92,28 @@ double ofMax(std::span<const double> x, std::span<const double> mu,
   return sum / static_cast<double>(count);
 }
 
+/// \p span is the read range: every sample of \p mu outside it is zero.
 double dispatch(Defuzzifier method, std::span<const double> x,
                 std::span<const double> mu, std::span<const double> w,
-                std::vector<double>& cumulative) {
+                SampleRange span, std::vector<double>& cumulative) {
+  const double empty = 0.5 * (x.front() + x.back());
+  const std::size_t len = span.hi - span.lo;
+  const auto xs = x.subspan(span.lo, len);
+  const auto ms = mu.subspan(span.lo, len);
+  const auto ws = w.subspan(span.lo, len - 1);
   switch (method) {
     case Defuzzifier::Centroid:
-      return centroid(x, mu, w);
+      return centroid(xs, ms, ws, empty);
     case Defuzzifier::Bisector:
-      return bisector(x, mu, w, cumulative);
+      return bisector(xs, ms, ws, empty, cumulative);
     case Defuzzifier::MeanOfMax:
-      return ofMax(x, mu, MaxPick::Mean);
+      return ofMax(x, mu, span, MaxPick::Mean);
     case Defuzzifier::SmallestOfMax:
-      return ofMax(x, mu, MaxPick::Smallest);
+      return ofMax(x, mu, span, MaxPick::Smallest);
     case Defuzzifier::LargestOfMax:
-      return ofMax(x, mu, MaxPick::Largest);
+      return ofMax(x, mu, span, MaxPick::Largest);
   }
-  return centroid(x, mu, w);
+  return centroid(xs, ms, ws, empty);
 }
 
 }  // namespace
@@ -124,7 +145,7 @@ double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
   }
   fillTrapezoidWeights(scratch.x, scratch.weights);
   return dispatch(method, scratch.x, scratch.mu, scratch.weights,
-                  scratch.cumulative);
+                  SampleRange{0, n}, scratch.cumulative);
 }
 
 double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
@@ -137,7 +158,7 @@ double defuzzify(Defuzzifier method, const AggregatedCurve& curve,
 
 double defuzzifySampled(Defuzzifier method, std::span<const double> x,
                         std::span<const double> mu,
-                        std::span<const double> half_dx,
+                        std::span<const double> half_dx, SampleRange support,
                         DefuzzScratch& scratch) {
   if (x.size() < 2) {
     throw std::invalid_argument("defuzzification needs >= 2 samples");
@@ -146,7 +167,12 @@ double defuzzifySampled(Defuzzifier method, std::span<const double> x,
     throw std::invalid_argument(
         "defuzzification sample spans have mismatched sizes");
   }
-  return dispatch(method, x, mu, half_dx, scratch.cumulative);
+  if (support.empty() || support.hi > x.size()) {
+    throw std::invalid_argument(
+        "defuzzification support must be a non-empty range of the grid");
+  }
+  return dispatch(method, x, mu, half_dx, readRange(support, x.size()),
+                  scratch.cumulative);
 }
 
 std::string_view toString(Defuzzifier method) noexcept {

@@ -54,6 +54,25 @@ struct DefuzzScratch {
                                Interval universe, int resolution,
                                DefuzzScratch& scratch);
 
+/// The samples [lo, hi) of a grid.
+struct SampleRange {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  [[nodiscard]] constexpr bool empty() const noexcept { return lo >= hi; }
+  friend constexpr bool operator==(const SampleRange&,
+                                   const SampleRange&) = default;
+};
+
+/// The samples defuzzifySampled() reads of a curve that is zero outside
+/// \p support on an \p n-sample grid: \p support widened by one sample on
+/// each side (so every segment with a nonzero end is integrated), clamped
+/// to the grid. A caller fills only these samples of its curve buffer.
+[[nodiscard]] constexpr SampleRange readRange(SampleRange support,
+                                              std::size_t n) noexcept {
+  return {support.lo > 0 ? support.lo - 1 : 0,
+          support.hi < n ? support.hi + 1 : n};
+}
+
 /// Defuzzifies an already-sampled curve: \p x is the sample grid, \p mu the
 /// membership at each sample, \p half_dx the trapezoid weights
 /// (0.5 * (x[i+1] - x[i]) per segment, so |half_dx| == |x| - 1). This is
@@ -61,11 +80,21 @@ struct DefuzzScratch {
 /// when the engine is built and every inference only fills \p mu.
 /// Bit-identical to sampling the equivalent callable at the same points.
 ///
-/// \throws std::invalid_argument on mismatched spans or fewer than 2 samples.
+/// The curve must be exactly +0 at every sample outside the non-empty
+/// \p support ({0, x.size()} for a whole curve): only
+/// readRange(support, x.size()) of \p mu is read, and the rest of \p mu
+/// may hold anything. The result equals that of the whole zero-extended
+/// curve bit for bit — the skipped centroid and bisector addends are
+/// exactly zero, and the empty-curve fallbacks and the maximum-based seeds
+/// still use the whole grid.
+///
+/// \throws std::invalid_argument on mismatched spans, fewer than 2 samples,
+///         or a \p support that is empty or runs past the grid.
 [[nodiscard]] double defuzzifySampled(Defuzzifier method,
                                       std::span<const double> x,
                                       std::span<const double> mu,
                                       std::span<const double> half_dx,
+                                      SampleRange support,
                                       DefuzzScratch& scratch);
 
 /// Fills \p weights with the trapezoid integration weights of grid \p x:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -81,6 +82,31 @@ void accumulateTerm(TNorm impl, SNorm agg, double activation,
   }
 }
 
+/// Fills \p row with \p mf's degree at the samples \p x where it is nonzero
+/// and returns those samples. The walk starts at the first sample at or
+/// above mf.peak() and runs outward, stopping each flank at its first
+/// exactly-zero sample: by MembershipFunction's zero-tail contract every
+/// sample beyond it is zero as well, so \p row — zero on entry — then holds
+/// the full-grid tabulation without a degree() call past the support.
+SampleRange tabulateSupport(const MembershipFunction& mf,
+                            std::span<const double> x, std::span<double> row) {
+  const auto start = static_cast<std::size_t>(
+      std::lower_bound(x.begin(), x.end(), mf.peak()) - x.begin());
+  std::size_t hi = start;
+  for (; hi < x.size(); ++hi) {
+    const double d = mf.degree(x[hi]);
+    if (d == 0.0) break;
+    row[hi] = d;
+  }
+  std::size_t lo = start;
+  for (; lo > 0; --lo) {
+    const double d = mf.degree(x[lo - 1]);
+    if (d == 0.0) break;
+    row[lo - 1] = d;
+  }
+  return {lo, hi};
+}
+
 /// The structural checks that need no rule resolution, run before the
 /// engine's members take ownership of the spec's parts.
 EngineSpec& checkShape(EngineSpec& spec) {
@@ -155,10 +181,34 @@ MamdaniEngine::MamdaniEngine(EngineSpec spec)
     tables_.x[static_cast<std::size_t>(i)] = u.lo + step * i;
   }
   fillTrapezoidWeights(tables_.x, tables_.half_dx);
-  tables_.term_mu.resize(output_.termCount() * n);
+  tables_.term_mu.assign(output_.termCount() * n, 0.0);
+  tables_.support.resize(output_.termCount());
   for (std::size_t t = 0; t < output_.termCount(); ++t) {
-    output_.tabulateTerm(t, tables_.x,
-                         std::span<double>{tables_.term_mu.data() + t * n, n});
+    tables_.support[t] = tabulateSupport(
+        output_.term(t).mf(), tables_.x,
+        std::span<double>{tables_.term_mu.data() + t * n, n});
+  }
+
+  // The rule sets by antecedent that fireInto() intersects.
+  term_offset_.resize(inputs_.size());
+  std::size_t terms = 0;
+  for (std::size_t v = 0; v < inputs_.size(); ++v) {
+    term_offset_[v] = terms;
+    terms += inputs_[v].termCount();
+  }
+  mask_words_ = (rules_.size() + 63) / 64;
+  rule_masks_.assign(terms * mask_words_, 0);
+  for (std::size_t i = 0; i < rules_.size(); ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    const std::size_t word = i / 64;
+    for (std::size_t v = 0; v < inputs_.size(); ++v) {
+      const std::size_t k = rules_.rule(i).antecedent[v];
+      const std::size_t first = k == kAnyTerm ? 0 : k;
+      const std::size_t last = k == kAnyTerm ? inputs_[v].termCount() : k + 1;
+      for (std::size_t term = first; term < last; ++term) {
+        rule_masks_[(term_offset_[v] + term) * mask_words_ + word] |= bit;
+      }
+    }
   }
 }
 
@@ -173,18 +223,52 @@ void MamdaniEngine::checkArity(std::size_t n) const {
 
 void MamdaniEngine::fireInto(const std::vector<FuzzyVector>& fuzzified,
                              std::vector<double>& strengths) const {
-  strengths.clear();
-  strengths.reserve(rules_.size());
-  for (const Rule& r : rules_.rules()) {
-    double strength = 1.0;
-    for (std::size_t v = 0; v < r.antecedent.size(); ++v) {
-      if (r.antecedent[v] == kAnyTerm) continue;
-      strength = apply(config_.conjunction, strength,
-                       fuzzified[v][r.antecedent[v]]);
-      if (strength == 0.0) break;
+  const std::vector<Rule>& rules = rules_.rules();
+  strengths.assign(rules.size(), 0.0);
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    // Candidates: per input, the union of the rule sets of its nonzero
+    // terms, intersected across inputs. A NaN degree (a smooth input term
+    // fed NaN) can make a product conjunction NaN even past a zero
+    // antecedent, so then every rule of the word fires, as a full fold does.
+    std::uint64_t candidates = ~std::uint64_t{0};
+    bool nan = false;
+    for (std::size_t v = 0; v < fuzzified.size(); ++v) {
+      const std::uint64_t* masks =
+          rule_masks_.data() + term_offset_[v] * mask_words_ + w;
+      std::uint64_t fireable = 0;
+      for (std::size_t k = 0; k < fuzzified[v].size(); ++k) {
+        const double d = fuzzified[v][k];
+        if (d != 0.0) fireable |= masks[k * mask_words_];
+        nan |= std::isnan(d);
+      }
+      candidates &= fireable;
     }
-    strengths.push_back(strength * r.weight);
+    if (nan) {
+      const std::size_t in_word =
+          std::min<std::size_t>(64, rules.size() - w * 64);
+      candidates = in_word == 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << in_word) - 1;
+    }
+    // Ascending rule order: the per-term s-norm fold downstream is
+    // order-sensitive for probor and bsum.
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const std::size_t i = w * 64 + std::countr_zero(candidates);
+      const Rule& r = rules[i];
+      double strength = 1.0;
+      for (std::size_t v = 0; v < r.antecedent.size(); ++v) {
+        if (r.antecedent[v] == kAnyTerm) continue;
+        strength = apply(config_.conjunction, strength,
+                         fuzzified[v][r.antecedent[v]]);
+        if (strength == 0.0) break;
+      }
+      strengths[i] = strength * r.weight;
+    }
   }
+}
+
+SampleRange MamdaniEngine::foldRange(std::size_t t, double a) const noexcept {
+  if (apply(config_.implication, a, 0.0) == 0.0) return tables_.support[t];
+  return {0, tables_.x.size()};
 }
 
 double MamdaniEngine::aggregateAndDefuzzify(
@@ -202,20 +286,42 @@ double MamdaniEngine::aggregateAndDefuzzify(
         apply(config_.aggregation, term_activation[t], strengths[i]);
   }
 
-  // Fold each active term's precomputed sample row into the aggregated
-  // curve. Term-outer / sample-inner is only a loop-nest order: per sample
-  // the same apply() chain runs in ascending-term order, exactly as
-  // evaluating the curve point by point through the term objects would.
+  // The aggregated curve is zero outside the hull of the active terms'
+  // fold ranges, so only that hull (and one sample on each side, which
+  // the defuzzifier reads as the zero end of a boundary segment) is
+  // cleared, folded and integrated.
   const std::size_t n = tables_.x.size();
-  scratch.curve_mu.assign(n, 0.0);
+  SampleRange hull{n, 0};
   for (std::size_t t = 0; t < term_activation.size(); ++t) {
     if (term_activation[t] <= 0.0) continue;
-    accumulateTerm(config_.implication, config_.aggregation,
-                   term_activation[t], tables_.term_mu.data() + t * n,
-                   scratch.curve_mu.data(), n);
+    const SampleRange r = foldRange(t, term_activation[t]);
+    if (r.empty()) continue;
+    hull.lo = std::min(hull.lo, r.lo);
+    hull.hi = std::max(hull.hi, r.hi);
   }
-  return defuzzifySampled(config_.defuzzifier, tables_.x, scratch.curve_mu,
-                          tables_.half_dx, scratch.defuzz);
+  std::vector<double>& mu = scratch.curve_mu;
+  mu.resize(n);
+  if (hull.empty()) {
+    // Nothing active on the grid: the all-zero curve, defuzzified whole.
+    hull = {0, n};
+  }
+  const SampleRange cleared = readRange(hull, n);
+  std::fill(mu.begin() + static_cast<std::ptrdiff_t>(cleared.lo),
+            mu.begin() + static_cast<std::ptrdiff_t>(cleared.hi), 0.0);
+
+  // Fold each active term's row over its range. Term-outer / sample-inner
+  // is only a loop-nest order: per sample the same apply() chain runs in
+  // ascending-term order, exactly as evaluating the curve point by point
+  // through the term objects would, minus the no-op folds outside a range.
+  for (std::size_t t = 0; t < term_activation.size(); ++t) {
+    if (term_activation[t] <= 0.0) continue;
+    const SampleRange r = foldRange(t, term_activation[t]);
+    accumulateTerm(config_.implication, config_.aggregation,
+                   term_activation[t], tables_.term_mu.data() + t * n + r.lo,
+                   mu.data() + r.lo, r.hi - r.lo);
+  }
+  return defuzzifySampled(config_.defuzzifier, tables_.x, mu,
+                          tables_.half_dx, hull, scratch.defuzz);
 }
 
 double MamdaniEngine::infer(std::span<const double> crisp_inputs) const {

@@ -117,10 +117,15 @@ class RuleError : public std::invalid_argument {
 /// The constructor resolves the spec's rule names, validates the structure
 /// and precomputes the output sample-grid tables — the defuzzification
 /// x-grid, its trapezoid weights and every output term's membership at
-/// every grid point (an SoA termCount x resolution array) — so every
-/// inference runs one path with no re-check, and aggregation is flat loops
-/// over contiguous doubles. Being immutable, an engine is safe to share
-/// across threads for concurrent infer() calls.
+/// every grid point (an SoA termCount x resolution array) together with the
+/// range of samples where each term is nonzero — plus, per input term, the
+/// set of rules that term can fire. Every inference runs one path with no
+/// re-check: it fires only the rules whose every antecedent has a nonzero
+/// degree, folds each active term's row only over its nonzero samples, and
+/// defuzzifies only the hull of those samples. Every skipped operation
+/// would have contributed an exact zero, so the result is bit-identical to
+/// evaluating every rule at every sample. Being immutable, an engine is
+/// safe to share across threads for concurrent infer() calls.
 class MamdaniEngine {
  public:
   /// \throws std::invalid_argument on an empty name or a resolution
@@ -150,6 +155,22 @@ class MamdaniEngine {
   }
   [[nodiscard]] const RuleBase& rules() const noexcept { return rules_; }
   ///@}
+
+  /// Defuzzification tables built by the constructor. The grid and weights
+  /// depend only on (universe, resolution); term_mu is term-major — term
+  /// t's row is [t * x.size(), (t+1) * x.size()) — so the aggregation inner
+  /// loop walks contiguous doubles. Row t equals term t's degree() at every
+  /// sample, and is nonzero only on support[t]: each row is filled outward
+  /// from the first sample at or above the term's peak() up to the first
+  /// exactly-zero sample on each side (the zero-tail contract of
+  /// MembershipFunction), and the rest of the row is zero from the start.
+  struct OutputTables {
+    std::vector<double> x;        ///< Sample grid over the output universe.
+    std::vector<double> half_dx;  ///< Trapezoid weights, 0.5 * segment dx.
+    std::vector<double> term_mu;  ///< termCount x resolution, term-major.
+    std::vector<SampleRange> support;  ///< Per term: its nonzero samples.
+  };
+  [[nodiscard]] const OutputTables& tables() const noexcept { return tables_; }
 
   /// Runs one inference; \p crisp_inputs are clamped to each variable's
   /// universe. Reuses a per-thread scratch, so a warm thread allocates
@@ -181,8 +202,11 @@ class MamdaniEngine {
   void checkArity(std::size_t n) const;
 
   /// Firing strength of each rule for the fuzzified inputs, into
-  /// \p strengths (cleared first). The single implementation every
-  /// inference path runs — one arithmetic, no drift.
+  /// \p strengths (one per rule). The single implementation every
+  /// inference path runs — one arithmetic, no drift. Only the candidates —
+  /// rules with a nonzero-degree term (or a wildcard) on every input — are
+  /// evaluated, in ascending rule order; every other rule has a zero
+  /// antecedent, so its strength is exactly the 0 it is left at.
   void fireInto(const std::vector<FuzzyVector>& fuzzified,
                 std::vector<double>& strengths) const;
 
@@ -192,15 +216,13 @@ class MamdaniEngine {
   [[nodiscard]] double aggregateAndDefuzzify(
       const std::vector<double>& strengths, InferenceScratch& scratch) const;
 
-  /// Defuzzification tables built by the constructor. The grid and weights
-  /// depend only on (universe, resolution); term_mu is term-major — term
-  /// t's row is [t * x.size(), (t+1) * x.size()) — so the aggregation inner
-  /// loop walks contiguous doubles.
-  struct OutputTables {
-    std::vector<double> x;        ///< Sample grid over the output universe.
-    std::vector<double> half_dx;  ///< Trapezoid weights, 0.5 * segment dx.
-    std::vector<double> term_mu;  ///< termCount x resolution, term-major.
-  };
+  /// The samples of term \p t's row the aggregation must fold at
+  /// activation \p a: support[t] whenever impl(a, 0) == 0 — then
+  /// agg(mu, impl(a, 0)) == mu for every curve value mu, so the samples
+  /// outside the support are no-ops — and the whole row otherwise (a NaN
+  /// activation under min or product implication, or one above 1 under
+  /// Lukasiewicz implication).
+  [[nodiscard]] SampleRange foldRange(std::size_t t, double a) const noexcept;
 
   std::string name_;
   EngineConfig config_;
@@ -208,6 +230,13 @@ class MamdaniEngine {
   LinguisticVariable output_;
   RuleBase rules_;
   OutputTables tables_;
+  /// Rule sets by antecedent, one bit per rule in words of 64: the rules
+  /// term k of input v can fire (those naming it, and those leaving input v
+  /// unconstrained) are the mask_words_ words at
+  /// (term_offset_[v] + k) * mask_words_.
+  std::vector<std::uint64_t> rule_masks_;
+  std::vector<std::size_t> term_offset_;
+  std::size_t mask_words_ = 0;
   /// Minted once per construction and kept by copies (their tables are
   /// identical): the key of a BatchScratch memo.
   std::uint64_t id_;

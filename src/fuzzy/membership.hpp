@@ -39,6 +39,13 @@ struct Interval {
 ///
 /// Concrete shapes are immutable after construction; the class is cloneable
 /// so that terms and variables have value semantics.
+///
+/// Zero-tail contract: walking away from peak() in either direction, once
+/// degree() returns exactly 0 it returns +0 at every point further out. The
+/// engine relies on it to tabulate an output term only up to its first zero
+/// sample on each side. All five shapes keep it in floating point, because
+/// each flank is a chain of monotone operations (a clamped linear ramp, or
+/// exp / pow underflowing or overflowing for good).
 class MembershipFunction {
  public:
   virtual ~MembershipFunction() = default;
@@ -46,7 +53,12 @@ class MembershipFunction {
   /// Degree of membership of \p x, always within [0, 1].
   [[nodiscard]] virtual double degree(double x) const noexcept = 0;
 
-  /// Smallest closed interval outside of which degree() is zero.
+  /// Where the term lives. Exact for Triangular and Trapezoidal: the
+  /// smallest closed interval outside of which degree() is zero. For the
+  /// smooth shapes (Gaussian, GeneralizedBell, Sigmoid) it is a practical
+  /// reach only — degree() is small but nonzero beyond it — so code that
+  /// needs the exact zeros must evaluate degree() (see the zero-tail
+  /// contract above), not trust this interval.
   [[nodiscard]] virtual Interval support() const noexcept = 0;
 
   /// Representative crisp value of the term (peak / plateau midpoint).

@@ -11,8 +11,9 @@
 namespace facs::fuzzy {
 
 /// Gaussian bell: mu(x) = exp(-(x - mean)^2 / (2 sigma^2)).
-/// The support is reported as mean +/- 4 sigma (beyond which the degree is
-/// below 3.4e-4 and treated as zero by the engine's aggregation).
+/// support() reports mean +/- 4 sigma, a practical reach: the degree there
+/// is e^-8 (about 3.4e-4), not zero, and stays nonzero until exp()
+/// underflows near 38.6 sigma.
 class Gaussian final : public MembershipFunction {
  public:
   /// \throws std::invalid_argument if sigma is not positive or a parameter

@@ -75,8 +75,9 @@ class LinguisticVariable {
 
   /// Tabulates term \p t's membership on a fixed sample grid:
   /// out[i] = term(t).degree(xs[i]), no clamping (the grid is already inside
-  /// the universe). This is how engines precompute their defuzzification
-  /// tables at construction — lookups reproduce degree() bit-exactly.
+  /// the universe). The full-grid reference an engine's tables must equal
+  /// bit for bit; the engine itself evaluates degree() only over each
+  /// term's support.
   /// \throws std::out_of_range on a bad term index,
   ///         std::invalid_argument on mismatched span sizes.
   void tabulateTerm(std::size_t t, std::span<const double> xs,

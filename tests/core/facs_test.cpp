@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "cellular/network.hpp"
+#include "cellular/policy_registry.hpp"
 
 namespace facs::core {
 namespace {
@@ -346,6 +350,62 @@ TEST(FacsController, NameAndAccessors) {
   EXPECT_EQ(facs.flc1().name(), "FLC1");
   EXPECT_EQ(facs.flc2().name(), "FLC2");
   EXPECT_DOUBLE_EQ(facs.config().accept_threshold, 0.0);
+}
+
+/// One controller from \p factory, on a one-cell network.
+std::unique_ptr<cellular::AdmissionController> fromFactory(
+    const cellular::ControllerFactory& factory) {
+  const cellular::HexNetwork net{0};
+  return factory(net);
+}
+
+const FacsController& asFacs(
+    const std::unique_ptr<cellular::AdmissionController>& controller) {
+  const auto* facs = dynamic_cast<const FacsController*>(controller.get());
+  if (facs == nullptr) throw std::logic_error("not a FACS controller");
+  return *facs;
+}
+
+TEST(FacsFactory, ControllersOfOneFactoryShareTheirEngines) {
+  const cellular::PolicyRuntime& runtime =
+      cellular::PolicyRuntime::defaultRuntime();
+  const cellular::ControllerFactory factory = runtime.makeFactory("facs");
+  const auto a = fromFactory(factory);
+  const auto b = fromFactory(factory);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(&asFacs(a).flc1(), &asFacs(b).flc1());
+  EXPECT_EQ(&asFacs(a).flc2(), &asFacs(b).flc2());
+
+  // Another spec is another factory with engines of its own.
+  const auto coarse = fromFactory(runtime.makeFactory("facs:res=251"));
+  EXPECT_NE(&asFacs(coarse).flc1(), &asFacs(a).flc1());
+  EXPECT_NE(&asFacs(coarse).flc2(), &asFacs(a).flc2());
+  EXPECT_EQ(asFacs(coarse).flc1().config().resolution, 251);
+  EXPECT_EQ(asFacs(a).flc1().config().resolution, 1001);
+
+  // A controller built from a config builds its own pair.
+  const FacsController own;
+  EXPECT_NE(&own.flc1(), &asFacs(a).flc1());
+}
+
+TEST(FacsFactory, SharedEnginesDecideLikeOwnEngines) {
+  const auto shared =
+      fromFactory(cellular::PolicyRuntime::defaultRuntime().makeFactory(
+          "facs:ops=prod,defuzz=bisector"));
+  FacsConfig cfg;
+  for (fuzzy::EngineConfig* e : {&cfg.flc1, &cfg.flc2}) {
+    e->conjunction = fuzzy::TNorm::AlgebraicProduct;
+    e->implication = fuzzy::TNorm::AlgebraicProduct;
+    e->aggregation = fuzzy::SNorm::AlgebraicSum;
+    e->defuzzifier = fuzzy::Defuzzifier::Bisector;
+  }
+  const FacsController own{cfg};
+  for (double cs = 0.0; cs <= 40.0; cs += 4.0) {
+    const FacsEvaluation x = asFacs(shared).evaluate(erraticUser(), 5.0, cs);
+    const FacsEvaluation y = own.evaluate(erraticUser(), 5.0, cs);
+    EXPECT_EQ(x.cv, y.cv);
+    EXPECT_EQ(x.ar, y.ar);
+  }
 }
 
 /// The acceptance region grows as occupancy falls, for every service class

@@ -1,10 +1,11 @@
 #pragma once
 /// \file curve_oracle.hpp
-/// Reference Mamdani back half for the engine tests: rebuilds the
-/// aggregated output curve from a traced inference's rule activations and
-/// the output terms' own degree(), then defuzzifies it with the sampling
-/// defuzzify(). The engine folds precomputed table rows instead; it must
-/// agree with this oracle bit for bit.
+/// Reference Mamdani inference for the engine tests: fires every rule of
+/// the rule base, rebuilds the aggregated output curve from the output
+/// terms' own degree() at every sample, and defuzzifies it with the
+/// sampling defuzzify(). The engine fires only candidate rules and folds
+/// precomputed table rows over each term's support instead; it must agree
+/// with this oracle bit for bit.
 
 #include <span>
 #include <vector>
@@ -14,17 +15,41 @@
 
 namespace facs::fuzzy {
 
+/// The firing strength of every rule, by folding every antecedent of every
+/// rule in rule order — no candidate enumeration.
+inline std::vector<double> allRuleStrengths(
+    const MamdaniEngine& engine, std::span<const double> crisp_inputs) {
+  std::vector<FuzzyVector> fuzzified;
+  for (std::size_t v = 0; v < engine.inputCount(); ++v) {
+    fuzzified.push_back(engine.input(v).fuzzify(crisp_inputs[v]));
+  }
+  std::vector<double> strengths;
+  for (const Rule& r : engine.rules().rules()) {
+    double strength = 1.0;
+    for (std::size_t v = 0; v < r.antecedent.size(); ++v) {
+      if (r.antecedent[v] == kAnyTerm) continue;
+      strength = apply(engine.config().conjunction, strength,
+                       fuzzified[v][r.antecedent[v]]);
+      if (strength == 0.0) break;
+    }
+    strengths.push_back(strength * r.weight);
+  }
+  return strengths;
+}
+
 inline double curveOracle(const MamdaniEngine& engine,
                           std::span<const double> crisp_inputs) {
   const EngineConfig& cfg = engine.config();
   const LinguisticVariable& out = engine.output();
 
   // Per-term activation: s-norm of the strengths of the rules concluding in
-  // that term, in rule order (the trace lists only rules with strength > 0).
+  // that term, in rule order.
+  const std::vector<double> strengths = allRuleStrengths(engine, crisp_inputs);
   std::vector<double> activation(out.termCount(), 0.0);
-  for (const RuleActivation& a : engine.inferTraced(crisp_inputs).activations) {
-    const std::size_t t = engine.rules().rule(a.rule_index).consequent;
-    activation[t] = apply(cfg.aggregation, activation[t], a.firing_strength);
+  for (std::size_t i = 0; i < strengths.size(); ++i) {
+    if (strengths[i] <= 0.0) continue;
+    const std::size_t t = engine.rules().rule(i).consequent;
+    activation[t] = apply(cfg.aggregation, activation[t], strengths[i]);
   }
 
   const auto curve = [&](double x) {

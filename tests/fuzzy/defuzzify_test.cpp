@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -122,7 +123,7 @@ TEST(Defuzzify, ToStringNames) {
 class SampledMatchesCurve : public ::testing::TestWithParam<Defuzzifier> {};
 
 TEST_P(SampledMatchesCurve, PresampledPathIsBitIdentical) {
-  // defuzzifySampled is the sealed-engine entry point: the caller hands in
+  // defuzzifySampled is the engine's entry point: the caller hands in
   // the grid, membership values and trapezoid weights that the curve
   // overload would otherwise compute per call. Rebuilding those arrays with
   // the same formulas must reproduce the curve overload bit for bit.
@@ -142,13 +143,34 @@ TEST_P(SampledMatchesCurve, PresampledPathIsBitIdentical) {
     ASSERT_EQ(weights.size(), x.size() - 1);
 
     DefuzzScratch scratch;
+    const SampleRange whole{0, x.size()};
     const double sampled = defuzzifySampled(GetParam(), x, mu, weights,
-                                            scratch);
+                                            whole, scratch);
     const double direct = defuzzify(GetParam(), curve, u, resolution);
     EXPECT_EQ(sampled, direct) << "resolution " << resolution;
     // A dirty scratch (here: warm from the previous resolution and from
     // this call's own buffers) must not change the answer.
-    EXPECT_EQ(defuzzifySampled(GetParam(), x, mu, weights, scratch), direct);
+    EXPECT_EQ(defuzzifySampled(GetParam(), x, mu, weights, whole, scratch),
+              direct);
+
+    // Given the curve's nonzero samples, only those and one neighbour on
+    // each side are read: NaN anywhere else must not reach the answer.
+    SampleRange support{x.size(), 0};
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (mu[i] == 0.0) continue;
+      support.lo = std::min(support.lo, i);
+      support.hi = i + 1;
+    }
+    if (support.empty()) continue;
+    const SampleRange read = readRange(support, x.size());
+    std::vector<double> dirty(x.size(), std::nan(""));
+    std::copy(mu.begin() + static_cast<std::ptrdiff_t>(read.lo),
+              mu.begin() + static_cast<std::ptrdiff_t>(read.hi),
+              dirty.begin() + static_cast<std::ptrdiff_t>(read.lo));
+    EXPECT_EQ(
+        defuzzifySampled(GetParam(), x, dirty, weights, support, scratch),
+        direct)
+        << "resolution " << resolution;
   }
 }
 

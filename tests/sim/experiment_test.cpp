@@ -101,6 +101,35 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial) {
   }
 }
 
+TEST(Sweep, FacsSweepIsByteIdenticalAcrossThreadCounts) {
+  // One factory per curve, so every run of the curve shares one FLC1/FLC2
+  // pair — across four worker threads here, each with its own scratch.
+  SweepSpec serial;
+  serial.xs = {10, 40};
+  serial.replications = 3;
+  serial.threads = 1;
+  SweepSpec parallel = serial;
+  parallel.threads = 4;
+
+  CurveSpec facs;
+  facs.label = "facs";
+  facs.policy = "facs";
+  const SweepResult r1 = runSweep(serial, {facs});
+  const SweepResult r2 = runSweep(parallel, {facs});
+  ASSERT_EQ(r1.curves.size(), 1u);
+  ASSERT_EQ(r2.curves.size(), 1u);
+  ASSERT_EQ(r1.curves[0].points.size(), r2.curves[0].points.size());
+  for (std::size_t i = 0; i < r1.curves[0].points.size(); ++i) {
+    const std::vector<Metrics>& a = r1.curves[0].points[i].runs;
+    const std::vector<Metrics>& b = r2.curves[0].points[i].runs;
+    ASSERT_EQ(a.size(), 3u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].toJson(), b[k].toJson()) << "point " << i << " run " << k;
+    }
+  }
+}
+
 TEST(Sweep, ParallelPropagatesWorkerExceptions) {
   SweepSpec spec;
   spec.xs = {5, 10, 15, 20};
