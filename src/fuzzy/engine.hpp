@@ -63,7 +63,9 @@ struct InferenceScratch {
   std::vector<FuzzyVector> fuzzified;
   std::vector<double> strengths;
   std::vector<double> term_activation;
-  std::vector<double> curve_mu;  ///< Aggregated curve on the sample grid.
+  /// Aggregated curve on the sample grid; an inference writes and reads
+  /// only the samples its active terms can reach, so the rest is stale.
+  std::vector<double> curve_mu;
   DefuzzScratch defuzz;
 };
 
