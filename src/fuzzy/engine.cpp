@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -188,28 +187,6 @@ MamdaniEngine::MamdaniEngine(EngineSpec spec)
         output_.term(t).mf(), tables_.x,
         std::span<double>{tables_.term_mu.data() + t * n, n});
   }
-
-  // The rule sets by antecedent that fireInto() intersects.
-  term_offset_.resize(inputs_.size());
-  std::size_t terms = 0;
-  for (std::size_t v = 0; v < inputs_.size(); ++v) {
-    term_offset_[v] = terms;
-    terms += inputs_[v].termCount();
-  }
-  mask_words_ = (rules_.size() + 63) / 64;
-  rule_masks_.assign(terms * mask_words_, 0);
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    const std::size_t word = i / 64;
-    for (std::size_t v = 0; v < inputs_.size(); ++v) {
-      const std::size_t k = rules_.rule(i).antecedent[v];
-      const std::size_t first = k == kAnyTerm ? 0 : k;
-      const std::size_t last = k == kAnyTerm ? inputs_[v].termCount() : k + 1;
-      for (std::size_t term = first; term < last; ++term) {
-        rule_masks_[(term_offset_[v] + term) * mask_words_ + word] |= bit;
-      }
-    }
-  }
 }
 
 void MamdaniEngine::checkArity(std::size_t n) const {
@@ -223,46 +200,17 @@ void MamdaniEngine::checkArity(std::size_t n) const {
 
 void MamdaniEngine::fireInto(const std::vector<FuzzyVector>& fuzzified,
                              std::vector<double>& strengths) const {
-  const std::vector<Rule>& rules = rules_.rules();
-  strengths.assign(rules.size(), 0.0);
-  for (std::size_t w = 0; w < mask_words_; ++w) {
-    // Candidates: per input, the union of the rule sets of its nonzero
-    // terms, intersected across inputs. A NaN degree (a smooth input term
-    // fed NaN) can make a product conjunction NaN even past a zero
-    // antecedent, so then every rule of the word fires, as a full fold does.
-    std::uint64_t candidates = ~std::uint64_t{0};
-    bool nan = false;
-    for (std::size_t v = 0; v < fuzzified.size(); ++v) {
-      const std::uint64_t* masks =
-          rule_masks_.data() + term_offset_[v] * mask_words_ + w;
-      std::uint64_t fireable = 0;
-      for (std::size_t k = 0; k < fuzzified[v].size(); ++k) {
-        const double d = fuzzified[v][k];
-        if (d != 0.0) fireable |= masks[k * mask_words_];
-        nan |= std::isnan(d);
-      }
-      candidates &= fireable;
+  strengths.clear();
+  strengths.reserve(rules_.size());
+  for (const Rule& r : rules_.rules()) {
+    double strength = 1.0;
+    for (std::size_t v = 0; v < r.antecedent.size(); ++v) {
+      if (r.antecedent[v] == kAnyTerm) continue;
+      strength = apply(config_.conjunction, strength,
+                       fuzzified[v][r.antecedent[v]]);
+      if (strength == 0.0) break;
     }
-    if (nan) {
-      const std::size_t in_word =
-          std::min<std::size_t>(64, rules.size() - w * 64);
-      candidates = in_word == 64 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << in_word) - 1;
-    }
-    // Ascending rule order: the per-term s-norm fold downstream is
-    // order-sensitive for probor and bsum.
-    for (; candidates != 0; candidates &= candidates - 1) {
-      const std::size_t i = w * 64 + std::countr_zero(candidates);
-      const Rule& r = rules[i];
-      double strength = 1.0;
-      for (std::size_t v = 0; v < r.antecedent.size(); ++v) {
-        if (r.antecedent[v] == kAnyTerm) continue;
-        strength = apply(config_.conjunction, strength,
-                         fuzzified[v][r.antecedent[v]]);
-        if (strength == 0.0) break;
-      }
-      strengths[i] = strength * r.weight;
-    }
+    strengths.push_back(strength * r.weight);
   }
 }
 

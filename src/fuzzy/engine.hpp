@@ -120,14 +120,13 @@ class RuleError : public std::invalid_argument {
 /// and precomputes the output sample-grid tables — the defuzzification
 /// x-grid, its trapezoid weights and every output term's membership at
 /// every grid point (an SoA termCount x resolution array) together with the
-/// range of samples where each term is nonzero — plus, per input term, the
-/// set of rules that term can fire. Every inference runs one path with no
-/// re-check: it fires only the rules whose every antecedent has a nonzero
-/// degree, folds each active term's row only over its nonzero samples, and
-/// defuzzifies only the hull of those samples. Every skipped operation
-/// would have contributed an exact zero, so the result is bit-identical to
-/// evaluating every rule at every sample. Being immutable, an engine is
-/// safe to share across threads for concurrent infer() calls.
+/// range of samples where each term is nonzero. Every inference runs one
+/// path with no re-check: it fires every rule, folds each active term's row
+/// only over its nonzero samples, and defuzzifies only the hull of those
+/// samples. Every skipped operation would have contributed an exact zero,
+/// so the result is bit-identical to folding every term at every sample.
+/// Being immutable, an engine is safe to share across threads for
+/// concurrent infer() calls.
 class MamdaniEngine {
  public:
   /// \throws std::invalid_argument on an empty name or a resolution
@@ -166,6 +165,9 @@ class MamdaniEngine {
   /// from the first sample at or above the term's peak() up to the first
   /// exactly-zero sample on each side (the zero-tail contract of
   /// MembershipFunction), and the rest of the row is zero from the start.
+  /// tables() is an inspection hook for the table tests, which compare
+  /// each row and its support with a full-grid tabulateTerm(); inference
+  /// needs no caller to read it.
   struct OutputTables {
     std::vector<double> x;        ///< Sample grid over the output universe.
     std::vector<double> half_dx;  ///< Trapezoid weights, 0.5 * segment dx.
@@ -204,11 +206,8 @@ class MamdaniEngine {
   void checkArity(std::size_t n) const;
 
   /// Firing strength of each rule for the fuzzified inputs, into
-  /// \p strengths (one per rule). The single implementation every
-  /// inference path runs — one arithmetic, no drift. Only the candidates —
-  /// rules with a nonzero-degree term (or a wildcard) on every input — are
-  /// evaluated, in ascending rule order; every other rule has a zero
-  /// antecedent, so its strength is exactly the 0 it is left at.
+  /// \p strengths (cleared first). The single implementation every
+  /// inference path runs — one arithmetic, no drift.
   void fireInto(const std::vector<FuzzyVector>& fuzzified,
                 std::vector<double>& strengths) const;
 
@@ -232,13 +231,6 @@ class MamdaniEngine {
   LinguisticVariable output_;
   RuleBase rules_;
   OutputTables tables_;
-  /// Rule sets by antecedent, one bit per rule in words of 64: the rules
-  /// term k of input v can fire (those naming it, and those leaving input v
-  /// unconstrained) are the mask_words_ words at
-  /// (term_offset_[v] + k) * mask_words_.
-  std::vector<std::uint64_t> rule_masks_;
-  std::vector<std::size_t> term_offset_;
-  std::size_t mask_words_ = 0;
   /// Minted once per construction and kept by copies (their tables are
   /// identical): the key of a BatchScratch memo.
   std::uint64_t id_;

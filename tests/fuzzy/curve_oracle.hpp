@@ -3,9 +3,8 @@
 /// Reference Mamdani inference for the engine tests: fires every rule of
 /// the rule base, rebuilds the aggregated output curve from the output
 /// terms' own degree() at every sample, and defuzzifies it with the
-/// sampling defuzzify(). The engine fires only candidate rules and folds
-/// precomputed table rows over each term's support instead; it must agree
-/// with this oracle bit for bit.
+/// sampling defuzzify(). The engine folds precomputed table rows over each
+/// term's support instead; it must agree with this oracle bit for bit.
 
 #include <span>
 #include <vector>
@@ -16,7 +15,7 @@
 namespace facs::fuzzy {
 
 /// The firing strength of every rule, by folding every antecedent of every
-/// rule in rule order — no candidate enumeration.
+/// rule in rule order.
 inline std::vector<double> allRuleStrengths(
     const MamdaniEngine& engine, std::span<const double> crisp_inputs) {
   std::vector<FuzzyVector> fuzzified;

@@ -1,9 +1,8 @@
 /// Exactness of the sparse inference path. The engine tabulates each
-/// output term only over its nonzero samples, fires only the rules whose
-/// antecedents all have a nonzero degree, and folds and integrates only the
-/// hull of the active terms' supports. Each shortcut skips operations that
-/// contribute an exact zero, so every table row must equal the full-grid
-/// tabulation and every inference the curve oracle, bit for bit.
+/// output term only over its nonzero samples, and folds and integrates only
+/// the hull of the active terms' supports. Each shortcut skips operations
+/// that contribute an exact zero, so every table row must equal the
+/// full-grid tabulation and every inference the curve oracle, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -209,7 +208,7 @@ TEST(ZeroTail, HoldsForAllShapesOverRandomParameters) {
   }
 }
 
-// ---------------------------------------------- rule enumeration & oracle --
+// ------------------------------------------------------------- oracle --
 
 void expectMatchesOracle(const MamdaniEngine& engine,
                          std::span<const double> in) {
@@ -222,41 +221,75 @@ void expectMatchesOracle(const MamdaniEngine& engine,
   }
 }
 
-TEST(ActiveRules, FireExactlyWhatAFullFoldFires) {
+/// inferTraced()'s activations are exactly the rules a full fold gives a
+/// positive strength, in rule order and with the same strengths.
+void expectActivationsMatchFullFold(const MamdaniEngine& engine,
+                                    std::span<const double> in) {
+  const std::vector<double> all = allRuleStrengths(engine, in);
+  std::vector<RuleActivation> expected;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i] > 0.0) expected.push_back({i, all[i]});
+  }
+  const InferenceTrace trace = engine.inferTraced(in);
+  ASSERT_EQ(trace.activations.size(), expected.size())
+      << engine.name() << " in[0]=" << in[0];
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(trace.activations[k].rule_index, expected[k].rule_index);
+    EXPECT_EQ(trace.activations[k].firing_strength,
+              expected[k].firing_strength);
+  }
+}
+
+TEST(SparseEdges, WildcardsFireWhereNoTermOfTheirInputHolds) {
+  // Input v has a gap between its terms (0.3, 0.7) and w's terms reach
+  // neither edge of its universe, so at some inputs every term of a
+  // wildcarded input has degree 0. A wildcard skips its input, so
+  // "* b" still fires at b's degree and "* *" always fires at its weight.
+  constexpr const char* kGaps = R"(
+engine gaps
+input v 0 1
+  term lo tri 0 0 0.3
+  term hi tri 1 0.3 0
+input w 0 1
+  term a tri 0.3 0.2 0.2
+  term b tri 0.7 0.2 0.2
+output y 0 10
+  term low tri 2 2 2
+  term mid tri 5 2 2
+  term high tri 8 2 2
+rule lo a => low
+rule * b => mid weight 0.7
+rule * * => high weight 0.4
+)";
   for (TNorm conj : kTNorms) {
-    EngineConfig cfg;
-    cfg.conjunction = conj;
-    cfg.resolution = 11;
-    const MamdaniEngine flc1 = core::buildFlc1(cfg);
-    for (double s : {-5.0, 0.0, 15.0, 22.5, 45.0, 90.0, 120.0, 200.0}) {
-      for (double a = -180.0; a <= 180.0; a += 22.5) {
-        for (double d : {0.0, 2.5, 10.0}) {
-          const std::array<double, 3> in{s, a, d};
-          const std::vector<double> all = allRuleStrengths(flc1, in);
-          std::vector<RuleActivation> expected;
-          for (std::size_t i = 0; i < all.size(); ++i) {
-            if (all[i] > 0.0) expected.push_back({i, all[i]});
-          }
-          const InferenceTrace trace = flc1.inferTraced(in);
-          ASSERT_EQ(trace.activations.size(), expected.size());
-          for (std::size_t k = 0; k < expected.size(); ++k) {
-            EXPECT_EQ(trace.activations[k].rule_index, expected[k].rule_index);
-            EXPECT_EQ(trace.activations[k].firing_strength,
-                      expected[k].firing_strength);
-          }
+    for (Defuzzifier defuzz : kDefuzzifiers) {
+      const MamdaniEngine engine = parseFdl(
+          std::string{kGaps} + "conjunction " + std::string{toString(conj)} +
+          "\ndefuzzifier " + std::string{toString(defuzz)} + "\n");
+      for (double v : {-1.0, 0.0, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0, 2.0}) {
+        for (double w : {0.0, 0.05, 0.3, 0.5, 0.6, 0.7, 0.95, 1.0}) {
+          const std::array<double, 2> in{v, w};
+          expectActivationsMatchFullFold(engine, in);
+          expectMatchesOracle(engine, in);
         }
       }
+      // In the gap with w off every term only the all-wildcard rule holds.
+      const std::array<double, 2> gap{0.5, 0.0};
+      const InferenceTrace trace = engine.inferTraced(gap);
+      ASSERT_EQ(trace.activations.size(), 1u);
+      EXPECT_EQ(trace.activations[0].rule_index, 2u);
+      EXPECT_EQ(trace.activations[0].firing_strength, 0.4);
     }
   }
 }
 
-TEST(ActiveRules, NanDegreeFiresEveryRuleLikeAFullFold) {
+TEST(SparseEdges, NanActivationFoldsTheWholeRow) {
   // Smooth input terms map a NaN input to NaN degrees, and under a product
   // conjunction a NaN antecedent makes a rule's strength NaN even past a
   // zero one. Bounded-sum aggregation turns a NaN strength into a full
-  // activation (min(1, a + NaN) is 1), so skipping such a rule would show;
-  // probor keeps the activation NaN, which must fold the term's whole row
-  // (the bisector then falls through to the grid's last sample).
+  // activation (min(1, a + NaN) is 1); probor keeps the activation NaN, and
+  // impl(NaN, 0) is not 0, so the term's whole row must be folded (the
+  // bisector then falls through to the grid's last sample).
   for (SNorm agg : {SNorm::BoundedSum, SNorm::AlgebraicSum}) {
     for (Defuzzifier defuzz : kDefuzzifiers) {
       EngineSpec spec;
@@ -279,7 +312,7 @@ TEST(ActiveRules, NanDegreeFiresEveryRuleLikeAFullFold) {
                                         {{"hi", "hi"}, "hi"}};
       spec.rules = rules;
       const MamdaniEngine engine{std::move(spec)};
-      // t = 0.1: "hi" has degree 0, so rule 1 is no candidate by degrees.
+      // t = 0.1: "hi" has degree 0, yet rule 1's strength is NaN.
       const std::array<double, 2> in{std::nan(""), 0.1};
       ASSERT_TRUE(std::isnan(allRuleStrengths(engine, in)[1]));
       if (agg == SNorm::BoundedSum) {
